@@ -1,9 +1,14 @@
-"""Prime-field linear algebra and univariate root finding.
+"""Exact linear algebra, and prime-field univariate root finding.
 
-Everything here works with plain Python ints reduced mod p, so there is
-no overflow concern for word-sized primes.  Matrices are lists of rows;
+``row_reduce`` is the one Gauss-Jordan elimination of the package: it
+reduces over GF(p) when given a prime, and otherwise with the entries'
+own field operations, which covers ``Fraction`` and ``RatFunc``
+matrices.  Every GF(p) elimination enters through ``rref_mod``.
+Prime-field values are plain Python ints reduced mod p, so there is no
+overflow concern for word-sized primes.  Matrices are lists of rows;
 univariate polynomials are coefficient lists indexed by power (little
-endian) with no trailing zeros.
+endian) with no trailing zeros.  Mod-p evaluation of multivariate
+polynomials lives in ``funcfield.evaluate_reduced``.
 
 Internal module: the public API re-exports what callers need.
 """
@@ -42,37 +47,99 @@ def is_probable_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matrices over GF(p)
+# matrices: one elimination over GF(p), Q and Q(x)
 # ---------------------------------------------------------------------------
 
-def rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
-    mat = [[c % p for c in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _eliminate(mat: list[list], p: int | None, below_only: bool) -> tuple[list[int], list, int]:
+    """Gauss-Jordan elimination of mat in place.
+
+    The pivot of a column is its first constant nonzero entry at or
+    below the current row, else its first nonzero entry (for scalars
+    both are the first nonzero entry); constant pivots keep rational-
+    function eliminations cheap.  The pivot row is normalised and then
+    cleared from every other row.  With below_only set (enough for a
+    determinant) it is left as it is and cleared from the rows below
+    only.  Returns the pivot columns, the pivot values and the number of
+    row swaps; the pivot rows are mat[:len(pivots)].
+    """
     pivots: list[int] = []
+    leads: list = []
+    swaps = 0
+    if not mat:
+        return pivots, leads, swaps
     r = 0
-    for col in range(ncols):
+    for col in range(len(mat[0])):
         pivot = None
         for i in range(r, len(mat)):
             if mat[i][col]:
-                pivot = i
-                break
+                is_constant = getattr(mat[i][col], "is_constant", None)
+                if is_constant is None or is_constant():
+                    pivot = i
+                    break
+                if pivot is None:
+                    pivot = i
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [c * inv % p for c in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], mat[r])]
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            swaps += 1
+        lead = mat[r][col]
+        if p is not None:
+            inv = pow(lead, -1, p)
+            mat[r] = row = [c * inv % p for c in mat[r]]
+        elif below_only:
+            row = mat[r]        # rows below subtract (entry / lead) * row
+        else:
+            # zero entries are skipped here and below: a rational-function
+            # product with zero still builds a new zero
+            mat[r] = row = [c / lead if c else c for c in mat[r]]
+        for i in range(r + 1 if below_only else 0, len(mat)):
+            factor = mat[i][col]
+            if i == r or not factor:
+                continue
+            if p is not None:
+                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], row)]
+                continue
+            if below_only:
+                factor = factor / lead
+            mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], row)]
         pivots.append(col)
+        leads.append(lead)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return pivots, leads, swaps
+
+
+def row_reduce(rows: Sequence[Sequence], p: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over GF(p), or over the entries' own
+    field when p is None; returns (nonzero rows, pivot column list)."""
+    if p is None:
+        mat = [list(row) for row in rows]
+    else:
+        mat = [[c % p for c in row] for row in rows]
+    pivots, _, _ = _eliminate(mat, p, below_only=False)
+    return mat[:len(pivots)], pivots
+
+
+def determinant(rows: Sequence[Sequence]):
+    """Determinant of a square matrix over its entries' field, by one
+    forward elimination pass: plus or minus the product of the pivots,
+    or the field's zero when a column has no pivot."""
+    mat = [list(row) for row in rows]
+    pivots, leads, swaps = _eliminate(mat, None, below_only=True)
+    if len(pivots) < len(mat):
+        return mat[0][0] * 0
+    det = leads[0]
+    for lead in leads[1:]:
+        det = det * lead
+    return -det if swaps % 2 else det
+
+
+def rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(p); returns (nonzero rows, pivot
+    column list)."""
+    return row_reduce(rows, p)
 
 
 def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:

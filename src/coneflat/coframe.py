@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from coneflat import _modp
 from coneflat.funcfield import FuncFieldError, MultiPoly, PoleError, RatFunc, \
     parse_ratfunc
 
@@ -73,29 +74,44 @@ class Chart:
         return Chart(n, tuple(f"x{i + 1}" for i in range(n)), (Fraction(0),) * n)
 
 
+def draw_seeded(draw, count: int, seed, tag: str, limit: int, error: type[Exception],
+                message: str) -> list:
+    """Seeded rejection sampling shared by every sampler in the package.
+
+    Candidate index i gets its own generator, seeded with
+    f"{seed}:{tag}{i}", so accepted draws do not depend on how many
+    earlier candidates were rejected.  draw(rng) returns a sample or
+    None to reject the candidate.  Stops after count samples or limit
+    candidates; a shortfall raises error with message formatted with
+    found, count and limit.
+    """
+    found = []
+    index = 0
+    while len(found) < count and index < limit:
+        sample = draw(random.Random(f"{seed}:{tag}{index}"))
+        index += 1
+        if sample is not None:
+            found.append(sample)
+    if len(found) < count:
+        raise error(message.format(found=len(found), count=count, limit=limit))
+    return found
+
+
 def sample_points(chart: Chart, count: int, seed, avoid: Sequence[MultiPoly] = (),
                   max_tries_factor: int = 80) -> list[tuple[Fraction, ...]]:
-    """Deterministic small-rational sample points avoiding given pole loci.
+    """Deterministic small-rational sample points avoiding given pole loci;
+    candidate index i is drawn from seed f"{seed}:{i}"."""
 
-    Each candidate index gets its own generator seeded with
-    f"{seed}:{index}", so accepted points do not depend on how many
-    earlier candidates were rejected.
-    """
-    points: list[tuple[Fraction, ...]] = []
-    index = 0
-    limit = max(count * max_tries_factor, 32)
-    while len(points) < count and index < limit:
-        rng = random.Random(f"{seed}:{index}")
-        index += 1
+    def draw(rng):
         candidate = tuple(Fraction(rng.randint(-10, 10), rng.randint(1, 10))
                           for _ in range(chart.n))
         if any(p.evaluate(candidate) == 0 for p in avoid):
-            continue
-        points.append(candidate)
-    if len(points) < count:
-        raise SamplingError(
-            f"only {len(points)} of {count} sample points found after {limit} tries")
-    return points
+            return None
+        return candidate
+
+    return draw_seeded(draw, count, seed, "", max(count * max_tries_factor, 32),
+                       SamplingError,
+                       "only {found} of {count} sample points found after {limit} tries")
 
 
 def float_points(chart: Chart, count: int, seed,
@@ -103,20 +119,15 @@ def float_points(chart: Chart, count: int, seed,
                  min_abs: float = 1e-6) -> list[tuple[float, ...]]:
     """Float sample points in a box around the base point, poles rejected."""
     base = [float(v) for v in chart.base_point]
-    points: list[tuple[float, ...]] = []
-    index = 0
-    limit = max(count * 80, 32)
-    while len(points) < count and index < limit:
-        rng = random.Random(f"{seed}:f{index}")
-        index += 1
+
+    def draw(rng):
         candidate = tuple(b + rng.uniform(-box, box) for b in base)
         if any(abs(p.evaluate(candidate)) < min_abs for p in avoid):
-            continue
-        points.append(candidate)
-    if len(points) < count:
-        raise SamplingError(
-            f"only {len(points)} of {count} float samples found after {limit} tries")
-    return points
+            return None
+        return candidate
+
+    return draw_seeded(draw, count, seed, "f", max(count * 80, 32), SamplingError,
+                       "only {found} of {count} float samples found after {limit} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -154,84 +165,18 @@ def mat_identity(n: int, nvars: int) -> Matrix:
                        for j in range(n)) for i in range(n))
 
 
-def mat_det(a: Sequence[Sequence[RatFunc]]) -> RatFunc:
-    n = len(a)
-    nvars = a[0][0].nvars
-    rows = [list(row) for row in a]
-    det = RatFunc.const(nvars, 1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not rows[i][col].is_zero():
-                # prefer constant pivots: cheaper eliminations
-                if pivot is None or (rows[i][col].is_constant()
-                                     and not rows[pivot][col].is_constant()):
-                    pivot = i
-                    if rows[i][col].is_constant():
-                        break
-        if pivot is None:
-            return RatFunc.const(nvars, 0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        lead = rows[col][col]
-        det = det * lead
-        for i in range(col + 1, n):
-            if rows[i][col].is_zero():
-                continue
-            factor = rows[i][col] / lead
-            rows[i] = [rows[i][j] - factor * rows[col][j] for j in range(n)]
-    return det
-
-
 def mat_inverse(a: Sequence[Sequence[RatFunc]]) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over the function field."""
     n = len(a)
-    nvars = a[0][0].nvars
-    rows = [list(row) + [RatFunc.const(nvars, 1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not rows[i][col].is_zero():
-                if pivot is None or (rows[i][col].is_constant()
-                                     and not rows[pivot][col].is_constant()):
-                    pivot = i
-                    if rows[i][col].is_constant():
-                        break
-        if pivot is None:
-            raise SingularCoframeError("matrix of rational functions is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [entry / lead for entry in rows[col]]
-        for i in range(n):
-            if i == col or rows[i][col].is_zero():
-                continue
-            factor = rows[i][col]
-            rows[i] = [rows[i][j] - factor * rows[col][j] for j in range(2 * n)]
-    return tuple(tuple(row[n:]) for row in rows)
+    reduced, pivots = _modp.row_reduce(
+        [list(row) + list(unit) for row, unit in zip(a, mat_identity(n, a[0][0].nvars))])
+    if pivots != list(range(n)):
+        raise SingularCoframeError("matrix of rational functions is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def evaluate_matrix(a: Sequence[Sequence[RatFunc]], point):
     return [[entry.evaluate(point) for entry in row] for row in a]
-
-
-def _fraction_mat_inverse(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    rows = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise SingularCoframeError("constant matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [v / lead for v in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[col])]
-    return [row[n:] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +199,7 @@ class Coframe:
                         "matrix entry variable count does not match the chart")
         self.chart = chart
         self.a = _as_matrix(a)
-        self._det = mat_det(self.a)
+        self._det = _modp.determinant(self.a)
         if self._det.is_zero():
             raise SingularCoframeError("coframe determinant vanishes identically")
         try:
@@ -359,8 +304,9 @@ class VectorField:
         return all(c.is_zero() for c in self.components)
 
 
-class VValuedForm2:
-    """Vector-valued 2-form: component k is sum_{i<j} w[k,i,j] dx_i ^ dx_j."""
+class AntisymmetricComponents:
+    """Components t[k, i, j] of a vector-valued antisymmetric 2-tensor of
+    rational functions, stored for i < j only; zeros are dropped."""
 
     def __init__(self, chart: Chart, components: dict[tuple[int, int, int], RatFunc]):
         self.chart = chart
@@ -368,7 +314,8 @@ class VValuedForm2:
                            if not val.is_zero()}
         for (k, i, j) in self.components:
             if not i < j:
-                raise FuncFieldError("2-form components must be stored with i < j")
+                raise FuncFieldError(
+                    f"{type(self).__name__} components must be stored with i < j")
 
     def get(self, k: int, i: int, j: int) -> RatFunc:
         if i == j:
@@ -379,6 +326,10 @@ class VValuedForm2:
 
     def is_zero(self) -> bool:
         return not self.components
+
+
+class VValuedForm2(AntisymmetricComponents):
+    """Vector-valued 2-form: component k is sum_{i<j} w[k,i,j] dx_i ^ dx_j."""
 
     def d_components(self) -> dict[tuple[int, int, int, int], RatFunc]:
         """Components of the exterior derivative, a vector-valued 3-form."""
@@ -396,26 +347,8 @@ class VValuedForm2:
         return out
 
 
-class StructureFunction:
+class StructureFunction(AntisymmetricComponents):
     """The tensor c with d omega^k = sum_{a<b} c^k_{ab} omega^a ^ omega^b."""
-
-    def __init__(self, chart: Chart, components: dict[tuple[int, int, int], RatFunc]):
-        self.chart = chart
-        self.components = {key: val for key, val in components.items()
-                           if not val.is_zero()}
-        for (k, a, b) in self.components:
-            if not a < b:
-                raise FuncFieldError("structure components must be stored with a < b")
-
-    def get(self, k: int, a: int, b: int) -> RatFunc:
-        if a == b:
-            return RatFunc.const(self.chart.n, 0)
-        if a < b:
-            return self.components.get((k, a, b), RatFunc.const(self.chart.n, 0))
-        return -self.components.get((k, b, a), RatFunc.const(self.chart.n, 0))
-
-    def is_zero(self) -> bool:
-        return not self.components
 
     def evaluate_at(self, point) -> dict[tuple[int, int, int], Fraction]:
         return {key: val.evaluate(point) for key, val in self.components.items()}
@@ -614,7 +547,10 @@ def pullback_linear(cf: Coframe, lmat: Sequence[Sequence[Fraction]]) -> Coframe:
     original structure function at L x.
     """
     n = cf.n
-    linv = _fraction_mat_inverse(lmat)
+    solved, pivots = _modp.row_reduce([[Fraction(v) for v in row] + [b]
+                                       for row, b in zip(lmat, cf.chart.base_point)])
+    if pivots != list(range(n)):
+        raise SingularCoframeError("constant matrix is singular")
     substituted = [RatFunc(MultiPoly(n, {
         tuple(1 if t == m else 0 for t in range(n)): Fraction(lmat[j][m])
         for m in range(n) if lmat[j][m] != 0})) if any(lmat[j]) else RatFunc.const(n, 0)
@@ -630,9 +566,7 @@ def pullback_linear(cf: Coframe, lmat: Sequence[Sequence[Fraction]]) -> Coframe:
                     acc = acc + composed[j] * Fraction(lmat[j][m])
             row.append(acc)
         new_rows.append(row)
-    new_base = tuple(sum((Fraction(linv[i][j]) * cf.chart.base_point[j]
-                          for j in range(n)), Fraction(0)) for i in range(n))
-    chart = Chart(n, cf.chart.variables, new_base)
+    chart = Chart(n, cf.chart.variables, tuple(row[n] for row in solved))
     return Coframe(chart, new_rows)
 
 

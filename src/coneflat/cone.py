@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from coneflat import _modp, xi
-from coneflat.coframe import Chart, Coframe, dual_frame, float_points, \
-    geodesic_flow, induced_coframe, sample_points, structure_function, \
-    tangent_dual_frame
-from coneflat.funcfield import MultiPoly, PoleError, RatFunc, parse_poly
+from coneflat.coframe import Chart, Coframe, draw_seeded, dual_frame, \
+    float_points, geodesic_flow, induced_coframe, sample_points, \
+    structure_function, tangent_dual_frame
+from coneflat.funcfield import MultiPoly, PoleError, RatFunc, evaluate_reduced, \
+    parse_poly
 
 
 class ConeError(ValueError):
@@ -169,9 +168,9 @@ def smooth_check(z: Hypersurface, primes: tuple[int, int] | None = None) -> Smoo
         f_table = z.f.reduce_mod_prime(p)
         hits = []
         for u in _projective_reps(z.n, p):
-            if any(_eval_table(t, u, p) for t in tables):
+            if any(evaluate_reduced(t, u, p) for t in tables):
                 continue
-            if _eval_table(f_table, u, p):
+            if evaluate_reduced(f_table, u, p):
                 continue
             hits.append(u)
         modular_hits[p] = hits
@@ -193,20 +192,6 @@ def smooth_check(z: Hypersurface, primes: tuple[int, int] | None = None) -> Smoo
                                   {"primes": list(primes)})
     z.smoothness = report
     return report
-
-
-def _eval_table(table: dict, point: Sequence[int], p: int) -> int:
-    total = 0
-    for exp, coeff in table.items():
-        term = coeff
-        for v, k in zip(point, exp):
-            if k:
-                if v == 0:
-                    term = 0
-                    break
-                term = term * pow(v, k, p) % p
-        total = (total + term) % p
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +263,31 @@ def sample_cone(cs: ConeStructure, count: int, seed, field=None) -> list[tuple[t
         return _sample_cone_float(cs, frame, count, seed)
     p = int(field)
     upoints = xi.sample_variety_points_modp(cs.z.f, p, count, f"{seed}:u")
+
+    def place(rng, u, grad):
+        x = [rng.randrange(p) for _ in range(n)]
+        try:
+            bvals = [[frame.matrix[j][a].evaluate_mod(x, p) for a in range(n)]
+                     for j in range(n)]
+            avals = [[cs.coframe.a[k][j].evaluate_mod(x, p) for j in range(n)]
+                     for k in range(n)]
+        except PoleError:
+            return None
+        y = [sum(bvals[j][a] * u[a] for a in range(n)) % p for j in range(n)]
+        mu = [sum(avals[k][j] * y[j] for j in range(n)) % p for k in range(n)]
+        if tuple(mu) != tuple(u):
+            raise ConeError("dual frame failed to invert the coframe "
+                            "at a sample point")
+        grad_y = [sum(grad[k] * avals[k][j] for k in range(n)) % p
+                  for j in range(n)]
+        if not any(grad_y):
+            return None
+        return tuple(x), tuple(y)
+
     out = []
     for idx, (u, grad) in enumerate(upoints):
-        placed = False
-        for attempt in range(200):
-            rng = random.Random(f"{seed}:x{idx}:{attempt}")
-            x = [rng.randrange(p) for _ in range(n)]
-            try:
-                bvals = [[frame.matrix[j][a].evaluate_mod(x, p) for a in range(n)]
-                         for j in range(n)]
-                avals = [[cs.coframe.a[k][j].evaluate_mod(x, p) for j in range(n)]
-                         for k in range(n)]
-            except PoleError:
-                continue
-            y = [sum(bvals[j][a] * u[a] for a in range(n)) % p for j in range(n)]
-            mu = [sum(avals[k][j] * y[j] for j in range(n)) % p for k in range(n)]
-            if tuple(mu) != tuple(u):
-                raise ConeError("dual frame failed to invert the coframe "
-                                "at a sample point")
-            grad_y = [sum(grad[k] * avals[k][j] for k in range(n)) % p
-                      for j in range(n)]
-            if not any(grad_y):
-                continue
-            out.append((tuple(x), tuple(y)))
-            placed = True
-            break
-        if not placed:
-            raise ConeSamplingError(f"no pole-free chart point for sample {idx}")
+        out += draw_seeded(lambda rng: place(rng, u, grad), 1, seed, f"x{idx}:", 200,
+                           ConeSamplingError, f"no pole-free chart point for sample {idx}")
     return out
 
 

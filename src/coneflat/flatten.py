@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from coneflat import xi
+from coneflat import _modp, xi
 from coneflat._antideriv import (
     AntiderivativeError,
     GridPotential,
@@ -344,7 +343,7 @@ def flat_coordinates(cf: Coframe, factor: ConformalFactor,
         jac = [[cf.a[k][j].evaluate(base) for j in range(n)] for k in range(n)]
     except PoleError as exc:
         raise FlattenError("coframe has a pole at the base point") from exc
-    if _det_fractions(jac) == 0:
+    if len(_modp.row_reduce(jac)[1]) < n:
         raise InternalIdentityError("Jacobian of zeta degenerates at the "
                                     "base point")
 
@@ -396,26 +395,6 @@ def flat_coordinates(cf: Coframe, factor: ConformalFactor,
             chart.max_path_residual = max(chart.max_path_residual,
                                           c.max_path_residual())
     return chart
-
-
-def _det_fractions(mat) -> Fraction:
-    n = len(mat)
-    m = [list(map(Fraction, row)) for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -307,20 +307,13 @@ class MultiPoly:
 
     def evaluate_mod(self, point: Sequence[int], prime: int) -> int:
         """Evaluate over GF(prime) at an integer point."""
-        total = 0
-        for exp, coeff in self.terms.items():
-            term = _fraction_mod(coeff, prime)
-            for v, k in zip(point, exp):
-                if k:
-                    term = term * pow(v % prime, k, prime) % prime
-            total = (total + term) % prime
-        return total
+        return evaluate_reduced(self.reduce_mod_prime(prime), point, prime)
 
     def reduce_mod_prime(self, prime: int) -> dict[Exponent, int]:
         """Coefficient-wise reduction mod prime; a ring morphism on Q-polys
         whose coefficient denominators avoid the prime."""
-        return {exp: _fraction_mod(c, prime) for exp, c in self.terms.items()
-                if _fraction_mod(c, prime) != 0}
+        return {exp: r for exp, c in self.terms.items()
+                if (r := _fraction_mod(c, prime))}
 
     # -- structure ------------------------------------------------------
 
@@ -526,6 +519,22 @@ def _fraction_mod(value: Fraction, prime: int) -> int:
     return value.numerator % prime * pow(den, -1, prime) % prime
 
 
+def evaluate_reduced(table: dict[Exponent, int], point: Sequence[int], prime: int) -> int:
+    """Value over GF(prime), at an integer point, of a polynomial given
+    as its reduction table (see MultiPoly.reduce_mod_prime)."""
+    total = 0
+    for exp, coeff in table.items():
+        term = coeff
+        for v, k in zip(point, exp):
+            if k:
+                if v == 0:
+                    term = 0
+                    break
+                term = term * pow(v, k, prime) % prime
+        total = (total + term) % prime
+    return total
+
+
 def _univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd of dense univariate rational-coefficient polynomials."""
 
@@ -592,6 +601,9 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()

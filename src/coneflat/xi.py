@@ -13,7 +13,6 @@ matrix in this module uses that layout.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -21,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from coneflat import _modp
-from coneflat.funcfield import BadPrimeError, MultiPoly, RatFunc
-from coneflat.coframe import Coframe
+from coneflat.funcfield import BadPrimeError, MultiPoly, RatFunc, evaluate_reduced
+from coneflat.coframe import Coframe, draw_seeded
 
 DEFAULT_PRIMES = (2147483647, 2147483629)
 
@@ -205,7 +204,8 @@ class TensorSubspace:
             if isinstance(fieldtag, int):
                 rank = _modp.rank_mod(rows, fieldtag)
             elif fieldtag == "rational":
-                rank = _rank_fractions(rows)
+                rank = len(_modp.row_reduce(
+                    [[Fraction(v) for v in row] for row in rows])[1])
             else:
                 rank = int(np.linalg.matrix_rank(np.array(rows, dtype=complex),
                                                  tol=tol))
@@ -218,27 +218,6 @@ class TensorSubspace:
 
     def __repr__(self):
         return f"TensorSubspace(n={self.n}, dim={self.dim}, field={self.field})"
-
-
-def _rank_fractions(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [v / lead for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +289,10 @@ def membership(sigma: HomTensor, space: TensorSubspace,
             member = all(v % p == 0 for v in coords)
             return MembershipResult(member, [] if member else None,
                                     0 if member else 1, p)
-        member = _modp.in_row_span_mod(basis_rows, coords, p)
-        coeffs = None
-        if member:
-            transposed = [[row[t] for row in basis_rows] for t in range(len(coords))]
-            coeffs = _modp.solve_mod(transposed, coords, p)
+        # solve_mod returns None exactly when coords is outside the span
+        transposed = [[row[t] for row in basis_rows] for t in range(len(coords))]
+        coeffs = _modp.solve_mod(transposed, coords, p)
+        member = coeffs is not None
         return MembershipResult(member, coeffs, 0 if member else 1, p)
 
     if space.field == "rational":
@@ -327,7 +305,10 @@ def membership(sigma: HomTensor, space: TensorSubspace,
                      Fraction(0)) for s in range(m)] for r in range(m)]
         rhs = [sum((a * b for a, b in zip(basis_rows[r], coords)), Fraction(0))
                for r in range(m)]
-        coeffs = _solve_fractions(gram, rhs)
+        reduced, pivots = _modp.row_reduce([gram[r] + [rhs[r]] for r in range(m)])
+        if pivots != list(range(m)):
+            raise XiError("singular normal system (dependent basis?)")
+        coeffs = [row[m] for row in reduced]
         norm = sum((v * v for v in coords), Fraction(0))
         residual_sq = norm - sum((c * r for c, r in zip(coeffs, rhs)), Fraction(0))
         member = residual_sq == 0
@@ -346,23 +327,6 @@ def membership(sigma: HomTensor, space: TensorSubspace,
     scale = max(float(np.linalg.norm(b)), 1.0)
     member = res < tol * scale
     return MembershipResult(member, list(sol) if member else None, res, "float")
-
-
-def _solve_fractions(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(mat)
-    rows = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise XiError("singular normal system (dependent basis?)")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [v / lead for v in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return [rows[i][n] for i in range(n)]
 
 
 def recover_eta(sigma: HomTensor):
@@ -425,17 +389,6 @@ def _poly_of(z) -> MultiPoly:
     return f
 
 
-def _eval_reduced(table: dict, point: Sequence[int], p: int) -> int:
-    total = 0
-    for exp, coeff in table.items():
-        term = coeff
-        for v, k in zip(point, exp):
-            if k:
-                term = term * pow(v, k, p) % p
-        total = (total + term) % p
-    return total
-
-
 def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Points u on the cone {f = 0} over GF(p) with their gradients.
 
@@ -448,12 +401,8 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
     n = f.nvars
     f_mod = f.reduce_mod_prime(p)
     grads = [f.diff(i).reduce_mod_prime(p) for i in range(n)]
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    index = 0
-    limit = max(count * 150, 64)
-    while len(found) < count and index < limit:
-        rng = random.Random(f"{seed}:u{index}")
-        index += 1
+
+    def draw(rng):
         free = rng.randrange(n)
         vals = [rng.randrange(p) for _ in range(n)]
         deg = f.degree_in(free)
@@ -467,22 +416,21 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
         if any(coeffs):
             roots = _modp.poly_roots(coeffs, p, rng)
             if not roots:
-                continue
+                return None
             root = roots[rng.randrange(len(roots))]
         else:
             root = rng.randrange(p)
         u = list(vals)
         u[free] = root
         if not any(u):
-            continue
-        grad = tuple(_eval_reduced(g, u, p) for g in grads)
+            return None
+        grad = tuple(evaluate_reduced(g, u, p) for g in grads)
         if not any(grad):
-            continue
-        found.append((tuple(u), grad))
-    if len(found) < count:
-        raise VarietySamplingError(
-            f"found {len(found)} of {count} cone points mod {p} after {limit} tries")
-    return found
+            return None
+        return tuple(u), grad
+
+    return draw_seeded(draw, count, seed, "u", max(count * 150, 64), VarietySamplingError,
+                       f"found {{found}} of {{count}} cone points mod {p} after {{limit}} tries")
 
 
 def sample_variety_points_complex(z, count: int, seed,
@@ -495,12 +443,8 @@ def sample_variety_points_complex(z, count: int, seed,
     f = _poly_of(z)
     n = f.nvars
     gradients = [f.diff(i) for i in range(n)]
-    found = []
-    index = 0
-    limit = max(count * 120, 64)
-    while len(found) < count and index < limit:
-        rng = random.Random(f"{seed}:c{index}")
-        index += 1
+
+    def draw(rng):
         free = rng.randrange(n)
         vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
         deg = f.degree_in(free)
@@ -512,11 +456,11 @@ def sample_variety_points_complex(z, count: int, seed,
                     term *= vals[i] ** e
             coeffs[exp[free]] += term
         if all(abs(c) < 1e-14 for c in coeffs[1:]):
-            continue
+            return None
         roots = np.roots(coeffs[::-1])
         roots = [r for r in roots if np.isfinite(r)]
         if not roots:
-            continue
+            return None
         t = roots[rng.randrange(len(roots))]
         if polish:
             dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
@@ -530,18 +474,17 @@ def sample_variety_points_complex(z, count: int, seed,
         u[free] = t
         norm = np.linalg.norm(u)
         if norm < 1e-8:
-            continue
+            return None
         u = u / norm
         if abs(f.evaluate(list(u))) > 1e-10:
-            continue
+            return None
         grad = np.array([g.evaluate(list(u)) for g in gradients], dtype=complex)
         if np.linalg.norm(grad) < 1e-8:
-            continue
-        found.append((u, grad))
-    if len(found) < count:
-        raise VarietySamplingError(
-            f"found {len(found)} of {count} complex cone points after {limit} tries")
-    return found
+            return None
+        return u, grad
+
+    return draw_seeded(draw, count, seed, "c", max(count * 120, 64), VarietySamplingError,
+                       "found {found} of {count} complex cone points after {limit} tries")
 
 
 # ---------------------------------------------------------------------------
