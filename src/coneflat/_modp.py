@@ -162,13 +162,6 @@ def kernel_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[i
     return basis
 
 
-def in_row_span_mod(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> bool:
-    """Is vec in the row space of rows, over GF(p)?"""
-    base = rank_mod(rows, p)
-    extended = [list(r) for r in rows] + [list(vec)]
-    return rank_mod(extended, p) == base
-
-
 def solve_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> list[int] | None:
     """One solution of A x = b mod p, or None if inconsistent."""
     augmented = [list(r) + [b % p] for r, b in zip(rows, rhs)]

@@ -48,8 +48,8 @@ from coneflat.funcfield import (
     FuncFieldError,
     ParseError,
     TermBudgetError,
+    _load_term_bound_env,
     parse_ratfunc,
-    set_term_bound,
 )
 
 EXIT_OK = 0
@@ -481,12 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_term_bound_env() -> None:
-    raw = os.environ.get("CCC_MAX_TERMS")
-    if raw is None:
-        return
     try:
-        set_term_bound(int(raw))
-    except (ValueError, FuncFieldError) as exc:
+        _load_term_bound_env()
+    except ValueError as exc:
+        raw = os.environ["CCC_MAX_TERMS"]
         raise ConfigError(f"bad CCC_MAX_TERMS value {raw!r}: {exc}") from exc
 
 

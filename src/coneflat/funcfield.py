@@ -1,10 +1,12 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
-Polynomials are stored sparsely as a dict mapping exponent tuples to
-Fraction coefficients; the zero polynomial has an empty term map.  A
-rational function is a reduced pair of polynomials.  All arithmetic is
-exact, so identity checks done with this module are proofs on the chart,
-not numerical evidence.
+A polynomial is stored sparsely as a dict mapping exponent tuples to
+nonzero int coefficients, over one positive common denominator that
+shares no factor with all of them; the zero polynomial has an empty map
+and denominator 1.  This representation is unique, and the arithmetic
+runs on ints.  A rational function is a reduced pair of polynomials.
+All arithmetic is exact, so identity checks done with this module are
+proofs on the chart, not numerical evidence.
 
 Values are immutable after construction and every operation is a pure
 function, so objects may be shared freely between threads.
@@ -17,6 +19,7 @@ import heapq
 import math
 import operator
 import os
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,19 +31,7 @@ Exponent = tuple[int, ...]
 DEFAULT_TERM_BOUND = 100_000
 
 
-def _term_bound_from_env() -> int:
-    # A malformed value must not break `import coneflat`; the CLI
-    # re-validates the variable and reports it as a config error.
-    raw = os.environ.get("CCC_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_TERM_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_TERM_BOUND
-
-
-_term_bound = _term_bound_from_env()
+_term_bound = DEFAULT_TERM_BOUND
 
 
 class FuncFieldError(ValueError):
@@ -79,6 +70,25 @@ def set_term_bound(bound: int) -> None:
     _term_bound = bound
 
 
+def _load_term_bound_env() -> None:
+    """Set the term bound from CCC_MAX_TERMS when it is set.
+
+    Raises ValueError, leaving the bound as it was, when the value is not
+    a positive integer.
+    """
+    raw = os.environ.get("CCC_MAX_TERMS")
+    if raw is not None:
+        set_term_bound(int(raw))
+
+
+try:
+    _load_term_bound_env()
+except ValueError:
+    # A malformed value must not break `import coneflat`: the default
+    # stays, and the CLI reports the value as a config error.
+    pass
+
+
 def _check_budget(nterms: int) -> None:
     if nterms > _term_bound:
         raise TermBudgetError(
@@ -96,18 +106,52 @@ def _heap_key(exp: Exponent) -> tuple:
     return (-sum(exp), tuple(-e for e in exp))
 
 
+class _FractionTerms(Mapping):
+    """Read-only view of a MultiPoly's coefficients as Fractions; each
+    Fraction is built when it is read."""
+
+    __slots__ = ("_coeffs", "_den")
+
+    def __init__(self, coeffs: dict[Exponent, int], den: int):
+        self._coeffs = coeffs
+        self._den = den
+
+    def __getitem__(self, exp: Exponent) -> Fraction:
+        return Fraction(self._coeffs[exp], self._den)
+
+    def __iter__(self):
+        return iter(self._coeffs)
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial over Q, stored as integer
+    coefficients over one common denominator.
+
+    The polynomial is sum(coeffs[e] * x^e for e in coeffs) / den.  Every
+    stored coefficient is a nonzero int, den is a positive int and
+    gcd(den, *coeffs.values()) == 1, so each polynomial has exactly one
+    representation: equality and hashing compare it directly, and the
+    arithmetic runs on ints.
 
     Attributes:
         nvars: number of variables (exponent tuples have this length).
-        terms: dict mapping exponent tuple -> nonzero Fraction coefficient.
+        coeffs: dict mapping exponent tuple -> nonzero int coefficient.
+        den: the common denominator, a positive int.
+        terms: read-only view mapping exponent tuple -> Fraction
+            coefficient, coeffs[e] / den.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "coeffs", "den")
 
     def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
         clean: dict[Exponent, Fraction] = {}
+        den = 1
         if terms:
             for exp, coeff in terms.items():
                 if coeff == 0:
@@ -116,33 +160,45 @@ class MultiPoly:
                     raise FuncFieldError(
                         f"exponent tuple {exp} has length {len(exp)}, expected {nvars}"
                     )
-                clean[exp] = Fraction(coeff)
+                c = clean[exp] = Fraction(coeff)
+                den = math.lcm(den, c.denominator)
         _check_budget(len(clean))
         self.nvars = nvars
-        self.terms = clean
+        # den is the lcm of the reduced denominators, so it shares no
+        # factor with all of the scaled numerators
+        self.coeffs = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponent, Fraction]) -> MultiPoly:
-        """Trusted constructor: terms must already be clean (nonzero
-        Fraction coefficients, correct-length exponents)."""
-        _check_budget(len(terms))
+    def _make(cls, nvars: int, coeffs: dict[Exponent, int], den: int = 1) -> MultiPoly:
+        """Trusted constructor: coeffs must map correct-length exponents
+        to nonzero ints and den must be positive.  Divides out the common
+        factor of den and the coefficients."""
+        _check_budget(len(coeffs))
+        if den != 1:
+            g = math.gcd(den, *coeffs.values())
+            if g != 1:
+                den //= g
+                coeffs = {e: c // g for e, c in coeffs.items()}
         self = object.__new__(cls)
         self.nvars = nvars
-        self.terms = terms
+        self.coeffs = coeffs
+        self.den = den
         return self
 
     @staticmethod
     def zero(nvars: int) -> MultiPoly:
-        return MultiPoly(nvars, {})
+        return MultiPoly._make(nvars, {})
 
     @staticmethod
     def const(nvars: int, value) -> MultiPoly:
-        c = Fraction(value)
-        if c == 0:
-            return MultiPoly(nvars, {})
-        return MultiPoly(nvars, {(0,) * nvars: c})
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        if value == 0:
+            return MultiPoly.zero(nvars)
+        return MultiPoly._make(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 
     @staticmethod
     def one(nvars: int) -> MultiPoly:
@@ -154,30 +210,35 @@ class MultiPoly:
             raise FuncFieldError(f"variable index {index} out of range for {nvars} variables")
         exp = [0] * nvars
         exp[index] = 1
-        return MultiPoly(nvars, {tuple(exp): Fraction(1)})
+        return MultiPoly._make(nvars, {tuple(exp): 1})
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        return _FractionTerms(self.coeffs, self.den)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return all(sum(exp) == 0 for exp in self.terms)
+        coeffs = self.coeffs
+        return not coeffs or (len(coeffs) == 1 and (0,) * self.nvars in coeffs)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise FuncFieldError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.coeffs.get((0,) * self.nvars, 0), self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return max(sum(exp) for exp in self.terms)
+        return max(sum(exp) for exp in self.coeffs)
 
     def degree_in(self, index: int) -> int:
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return max(exp[index] for exp in self.terms)
+        return max(exp[index] for exp in self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -188,21 +249,35 @@ class MultiPoly:
             return other
         return MultiPoly.const(self.nvars, other)
 
+    def _times(self, num: int, den: int) -> MultiPoly:
+        """self * num/den for nonzero ints num and den."""
+        if den < 0:
+            num, den = -num, -den
+        return MultiPoly._make(self.nvars, {e: c * num for e, c in self.coeffs.items()},
+                               self.den * den)
+
     def __add__(self, other) -> MultiPoly:
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            s = out.get(exp, 0) + coeff
-            if s == 0:
-                out.pop(exp, None)
-            else:
+        if self.den == other.den:
+            out = dict(self.coeffs)
+            scale = 1
+        else:
+            # bring both over lcm(den, other.den)
+            g = math.gcd(self.den, other.den)
+            out = {e: c * (other.den // g) for e, c in self.coeffs.items()}
+            scale = self.den // g
+        for exp, coeff in other.coeffs.items():
+            s = out.get(exp, 0) + coeff * scale
+            if s:
                 out[exp] = s
-        return MultiPoly._raw(self.nvars, out)
+            else:
+                del out[exp]
+        return MultiPoly._make(self.nvars, out, other.den * scale)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.nvars, {e: -c for e, c in self.coeffs.items()}, self.den)
 
     def __sub__(self, other) -> MultiPoly:
         return self + (-self._coerce(other))
@@ -210,39 +285,20 @@ class MultiPoly:
     def __rsub__(self, other) -> MultiPoly:
         return self._coerce(other) - self
 
-    def _int_scaled(self) -> tuple[dict[Exponent, int], int]:
-        """Integer coefficient dict plus the common denominator scale."""
-        lcm = 1
-        for c in self.terms.values():
-            d = c.denominator
-            if d != 1:
-                lcm = lcm * d // math.gcd(lcm, d)
-        if lcm == 1:
-            return {e: c.numerator for e, c in self.terms.items()}, 1
-        return {e: c.numerator * (lcm // c.denominator)
-                for e, c in self.terms.items()}, lcm
-
     def __mul__(self, other) -> MultiPoly:
         other = self._coerce(other)
-        if not self.terms or not other.terms:
+        if not self.coeffs or not other.coeffs:
             return MultiPoly.zero(self.nvars)
-        # integerize so the hot loop runs on machine ints; one Fraction
-        # (and one gcd) per output term instead of per term pair
-        a_int, a_scale = self._int_scaled()
-        b_int, b_scale = other._int_scaled()
         out: dict[Exponent, int] = {}
+        get = out.get
         add = operator.add
-        b_items = list(b_int.items())
-        for e1, c1 in a_int.items():
+        b_items = list(other.coeffs.items())
+        for e1, c1 in self.coeffs.items():
             for e2, c2 in b_items:
                 exp = tuple(map(add, e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
-        scale = a_scale * b_scale
-        if scale == 1:
-            terms = {e: Fraction(c) for e, c in out.items() if c}
-        else:
-            terms = {e: Fraction(c, scale) for e, c in out.items() if c}
-        return MultiPoly._raw(self.nvars, terms)
+                out[exp] = get(exp, 0) + c1 * c2
+        return MultiPoly._make(self.nvars, {e: c for e, c in out.items() if c},
+                               self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -262,13 +318,14 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars == other.nvars and self.den == other.den
+                    and self.coeffs == other.coeffs)
         if isinstance(other, (int, Fraction)):
             return self == MultiPoly.const(self.nvars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.coeffs.items())))
 
     # -- calculus and evaluation ---------------------------------------
 
@@ -276,15 +333,15 @@ class MultiPoly:
         """Exact partial derivative with respect to variable `index`."""
         if not 0 <= index < self.nvars:
             raise FuncFieldError(f"variable index {index} out of range for {self.nvars} variables")
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, coeff in self.coeffs.items():
             k = exp[index]
             if k == 0:
                 continue
             new = list(exp)
             new[index] = k - 1
             out[tuple(new)] = coeff * k
-        return MultiPoly._raw(self.nvars, out)
+        return MultiPoly._make(self.nvars, out, self.den)
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point of Fractions (exact) or floats/complex.
@@ -294,11 +351,28 @@ class MultiPoly:
         """
         if len(point) != self.nvars:
             raise FuncFieldError("point has wrong dimension")
-        exact = all(isinstance(v, (int, Fraction)) for v in point)
-        total = Fraction(0) if exact else 0.0
-        for exp, coeff in self.terms.items():
-            term = coeff if exact else complex(coeff) if any(
-                isinstance(v, complex) for v in point) else float(coeff)
+        den = self.den
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            # point = nums / scale; a term of degree d is an int over
+            # scale^d, so sum per degree and bring the sums over scale^top
+            scale = math.lcm(*(v.denominator for v in point))
+            nums = [v.numerator * (scale // v.denominator) for v in point]
+            by_degree: dict[int, int] = {}
+            for exp, coeff in self.coeffs.items():
+                term = coeff
+                for v, k in zip(nums, exp):
+                    if k:
+                        term *= v ** k
+                d = sum(exp)
+                by_degree[d] = by_degree.get(d, 0) + term
+            top = max(by_degree, default=0)
+            total = sum(t * scale ** (top - d) for d, t in by_degree.items())
+            return Fraction(total, den * scale ** top)
+        # int true division is correctly rounded, as float(Fraction) is
+        scalar = complex if any(isinstance(v, complex) for v in point) else float
+        total = 0.0
+        for exp, coeff in self.coeffs.items():
+            term = scalar(coeff / den)
             for v, k in zip(point, exp):
                 if k:
                     term *= v ** k
@@ -312,8 +386,8 @@ class MultiPoly:
     def reduce_mod_prime(self, prime: int) -> dict[Exponent, int]:
         """Coefficient-wise reduction mod prime; a ring morphism on Q-polys
         whose coefficient denominators avoid the prime."""
-        return {exp: r for exp, c in self.terms.items()
-                if (r := _fraction_mod(c, prime))}
+        inv = _inverse_mod(self.den, prime)
+        return {exp: r for exp, c in self.coeffs.items() if (r := c * inv % prime)}
 
     # -- structure ------------------------------------------------------
 
@@ -322,13 +396,13 @@ class MultiPoly:
         index of old variable i."""
         if len(var_map) != self.nvars:
             raise FuncFieldError("var_map length mismatch")
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, coeff in self.coeffs.items():
             new = [0] * nvars_new
             for old_i, k in enumerate(exp):
                 new[var_map[old_i]] += k
             out[tuple(new)] = coeff
-        return MultiPoly(nvars_new, out)
+        return MultiPoly._make(nvars_new, out, self.den)
 
     def subst(self, args: Sequence["RatFunc"]) -> "RatFunc":
         """Substitute a rational function for every variable."""
@@ -338,8 +412,8 @@ class MultiPoly:
             raise FuncFieldError("cannot substitute into a 0-variable polynomial")
         nv = args[0].num.nvars
         total = RatFunc.const(nv, 0)
-        for exp, coeff in self.terms.items():
-            term = RatFunc.const(nv, coeff)
+        for exp, coeff in self.coeffs.items():
+            term = RatFunc.const(nv, Fraction(coeff, self.den))
             for arg, k in zip(args, exp):
                 if k:
                     term = term * arg ** k
@@ -352,41 +426,42 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.nvars)
+        d_coeffs = divisor.coeffs
         if divisor.is_constant():
-            c = divisor.constant_value()
-            return MultiPoly(self.nvars, {e: q / c for e, q in self.terms.items()})
+            return self._times(divisor.den, d_coeffs[(0,) * self.nvars])
         # leading and trailing monomials are multiplicative in graded-lex
         # order, so both must divide their counterparts; this rejects most
         # inexact divisions without running the division loop
-        lead_n = max(self.terms, key=_grlex_key)
-        lead_d = max(divisor.terms, key=_grlex_key)
+        lead_n = max(self.coeffs, key=_grlex_key)
+        lead_d = max(d_coeffs, key=_grlex_key)
         if any(a < b for a, b in zip(lead_n, lead_d)):
             return None
-        trail_n = min(self.terms, key=_grlex_key)
-        trail_d = min(divisor.terms, key=_grlex_key)
+        trail_n = min(self.coeffs, key=_grlex_key)
+        trail_d = min(d_coeffs, key=_grlex_key)
         if any(a < b for a, b in zip(trail_n, trail_d)):
             return None
-        if len(divisor.terms) == 1:
+        if len(d_coeffs) == 1:
+            lead_coeff = d_coeffs[lead_d]
+            scale = divisor.den if lead_coeff > 0 else -divisor.den
             out = {}
-            coeff = divisor.terms[lead_d]
-            for exp, c in self.terms.items():
+            for exp, c in self.coeffs.items():
                 q = tuple(a - b for a, b in zip(exp, lead_d))
                 if any(k < 0 for k in q):
                     return None
-                out[q] = c / coeff
-            return MultiPoly._raw(self.nvars, out)
+                out[q] = c * scale
+            return MultiPoly._make(self.nvars, out, self.den * abs(lead_coeff))
 
-        # integerize; when the divisor lead is a unit the whole division
-        # loop runs on plain ints
-        a_int, a_scale = self._int_scaled()
-        d_int, d_scale = divisor._int_scaled()
-        lead_coeff = d_int[lead_d]
-        d_items = [(e, c) for e, c in d_int.items() if e != lead_d]
-        remainder = dict(a_int)
+        # Divide the integer numerator by the divisor's primitive part.  By
+        # Gauss's lemma an exact quotient by a primitive polynomial has
+        # integer coefficients, so a step whose coefficient the lead does
+        # not divide proves the division inexact.
+        content = math.gcd(*d_coeffs.values())
+        lead_coeff = d_coeffs[lead_d] // content
+        d_items = [(e, c // content) for e, c in d_coeffs.items() if e != lead_d]
+        remainder = dict(self.coeffs)
         heap = [_heap_key(e) + (e,) for e in remainder]
         heapq.heapify(heap)
-        quotient: dict[Exponent, object] = {}
-        unit_lead = lead_coeff in (1, -1)
+        quotient: dict[Exponent, int] = {}
         while remainder:
             while heap:
                 exp = heap[0][2]
@@ -399,10 +474,9 @@ class MultiPoly:
             qexp = tuple(a - b for a, b in zip(exp, lead_d))
             if any(k < 0 for k in qexp):
                 return None
-            if unit_lead:
-                qc = coeff * lead_coeff
-            else:
-                qc = Fraction(coeff, lead_coeff)
+            qc, r = divmod(coeff, lead_coeff)
+            if r:
+                return None
             quotient[qexp] = qc
             for dexp, dc in d_items:
                 texp = tuple(map(operator.add, qexp, dexp))
@@ -419,33 +493,26 @@ class MultiPoly:
                     else:
                         del remainder[texp]
             _check_budget(len(remainder))
-        adjust = Fraction(d_scale, a_scale)
-        if adjust == 1:
-            return MultiPoly._raw(self.nvars,
-                                  {e: Fraction(q) for e, q in quotient.items()})
-        return MultiPoly._raw(self.nvars,
-                              {e: q * adjust for e, q in quotient.items()})
+        # self / divisor = quotient * divisor.den / (self.den * content)
+        if divisor.den != 1:
+            quotient = {e: q * divisor.den for e, q in quotient.items()}
+        return MultiPoly._make(self.nvars, quotient, self.den * content)
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients), 0 for the zero poly."""
-        if not self.terms:
+        if not self.coeffs:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(math.gcd(*self.coeffs.values()), self.den)
 
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
+        if not self.coeffs:
             return Fraction(0)
-        return self.terms[max(self.terms, key=_grlex_key)]
+        return Fraction(self.coeffs[max(self.coeffs, key=_grlex_key)], self.den)
 
     def single_variable(self) -> int | None:
         """Index of the only variable that occurs, or None (constants give None)."""
         seen = None
-        for exp in self.terms:
+        for exp in self.coeffs:
             for i, k in enumerate(exp):
                 if k:
                     if seen is None:
@@ -456,18 +523,17 @@ class MultiPoly:
 
     def univariate_coeffs(self, index: int) -> list[Fraction]:
         """Dense coefficient list in one variable (requires all others absent)."""
-        deg = self.degree_in(index)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for exp, c in self.terms.items():
+        coeffs = [0] * (self.degree_in(index) + 1)
+        for exp, c in self.coeffs.items():
             if any(k and i != index for i, k in enumerate(exp)):
                 raise FuncFieldError("polynomial is not univariate in that variable")
             coeffs[exp[index]] += c
-        return coeffs
+        return [Fraction(c, self.den) for c in coeffs]
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
+        if not self.coeffs:
             return True
-        degrees = {sum(exp) for exp in self.terms}
+        degrees = {sum(exp) for exp in self.coeffs}
         if len(degrees) != 1:
             return False
         return degree is None or degrees == {degree}
@@ -477,11 +543,12 @@ class MultiPoly:
     def to_string(self, variables: Sequence[str] | None = None) -> str:
         if variables is None:
             variables = [f"x{i + 1}" for i in range(self.nvars)]
-        if not self.terms:
+        if not self.coeffs:
             return "0"
+        terms = self.terms
         pieces = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exp]
+        for exp in sorted(terms, key=_grlex_key, reverse=True):
+            coeff = terms[exp]
             factors = []
             for name, k in zip(variables, exp):
                 if k == 1:
@@ -512,11 +579,15 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fraction_mod(value: Fraction, prime: int) -> int:
-    den = value.denominator % prime
+def _inverse_mod(den: int, prime: int) -> int:
+    den %= prime
     if den == 0:
         raise BadPrimeError(f"prime {prime} divides a coefficient denominator")
-    return value.numerator % prime * pow(den, -1, prime) % prime
+    return pow(den, -1, prime)
+
+
+def _fraction_mod(value: Fraction, prime: int) -> int:
+    return value.numerator * _inverse_mod(value.denominator, prime) % prime
 
 
 def evaluate_reduced(table: dict[Exponent, int], point: Sequence[int], prime: int) -> int:
@@ -618,7 +689,7 @@ class RatFunc:
         if not self.is_polynomial():
             raise FuncFieldError("rational function has a nontrivial denominator")
         c = self.den.constant_value()
-        return MultiPoly(self.num.nvars, {e: q / c for e, q in self.num.terms.items()})
+        return self.num._times(c.denominator, c.numerator)
 
     def _coerce(self, other) -> RatFunc:
         if isinstance(other, RatFunc):
@@ -747,9 +818,9 @@ class RatFunc:
             return self.num.to_string(variables)
         num = self.num.to_string(variables)
         den = self.den.to_string(variables)
-        if len(self.num.terms) > 1:
+        if len(self.num.coeffs) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1:
+        if len(self.den.coeffs) > 1:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -762,15 +833,20 @@ def _canonical_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPol
     if num.is_zero():
         return MultiPoly.zero(nvars), MultiPoly.one(nvars)
 
-    # cancel the common monomial factor
-    mins_n = [min(exp[i] for exp in num.terms) for i in range(nvars)]
-    mins_d = [min(exp[i] for exp in den.terms) for i in range(nvars)]
-    shift = tuple(min(a, b) for a, b in zip(mins_n, mins_d))
+    # cancel the common monomial factor; a constant term in either
+    # rules one out
+    unit = (0,) * nvars
+    if unit not in num.coeffs and unit not in den.coeffs:
+        mins_n = map(min, zip(*num.coeffs))
+        mins_d = map(min, zip(*den.coeffs))
+        shift = tuple(min(a, b) for a, b in zip(mins_n, mins_d))
+    else:
+        shift = unit
     if any(shift):
-        num = MultiPoly(nvars, {tuple(e - s for e, s in zip(exp, shift)): c
-                                for exp, c in num.terms.items()})
-        den = MultiPoly(nvars, {tuple(e - s for e, s in zip(exp, shift)): c
-                                for exp, c in den.terms.items()})
+        num = MultiPoly._make(nvars, {tuple(map(operator.sub, exp, shift)): c
+                                      for exp, c in num.coeffs.items()}, num.den)
+        den = MultiPoly._make(nvars, {tuple(map(operator.sub, exp, shift)): c
+                                      for exp, c in den.coeffs.items()}, den.den)
 
     if not den.is_constant():
         q = num.divide_exact(den)
@@ -793,13 +869,15 @@ def _canonical_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPol
                 num = num.divide_exact(gp) or num
                 den = den.divide_exact(gp) or den
 
-    # normalize: den integer-primitive with positive leading coefficient
-    scale = den.content()
-    if den.leading_coefficient() < 0:
-        scale = -scale
-    if scale != 1:
-        num = MultiPoly(nvars, {e: c / scale for e, c in num.terms.items()})
-        den = MultiPoly(nvars, {e: c / scale for e, c in den.terms.items()})
+    # normalize: den integer-primitive with positive leading coefficient,
+    # that is den / (its content, signed like its lead)
+    coeffs = den.coeffs
+    content = math.gcd(*coeffs.values())
+    if coeffs[max(coeffs, key=_grlex_key)] < 0:
+        content = -content
+    if content != 1 or den.den != 1:
+        num = num._times(den.den, content)
+        den = MultiPoly._make(nvars, {e: c // content for e, c in coeffs.items()})
     return num, den
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from coneflat import _modp
-from coneflat.funcfield import BadPrimeError, MultiPoly, RatFunc, evaluate_reduced
+from coneflat.funcfield import MultiPoly, RatFunc, _fraction_mod, evaluate_reduced
 from coneflat.coframe import Coframe, draw_seeded
 
 DEFAULT_PRIMES = (2147483647, 2147483629)
@@ -118,13 +118,7 @@ class HomTensor:
     def reduce_mod(self, p: int) -> HomTensor:
         if self.field != "rational":
             raise XiError("only rational tensors reduce mod a prime")
-        out = {}
-        for key, val in self.c.items():
-            den = val.denominator % p
-            if den == 0:
-                raise BadPrimeError(f"prime {p} divides a tensor denominator")
-            out[key] = val.numerator % p * pow(den, -1, p) % p
-        return HomTensor(self.n, out, p)
+        return HomTensor(self.n, {key: _fraction_mod(val, p) for key, val in self.c.items()}, p)
 
     def to_float(self) -> HomTensor:
         if isinstance(self.field, int):
@@ -449,8 +443,8 @@ def sample_variety_points_complex(z, count: int, seed,
         vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
         deg = f.degree_in(free)
         coeffs = [0j] * (deg + 1)
-        for exp, coeff in f.terms.items():
-            term = complex(coeff)
+        for exp, coeff in f.coeffs.items():
+            term = complex(coeff / f.den)
             for i, e in enumerate(exp):
                 if i != free and e:
                     term *= vals[i] ** e

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -218,6 +221,28 @@ def test_bad_term_bound_env(monkeypatch, capsys):
     monkeypatch.setenv("CCC_MAX_TERMS", "banana")
     code = main(["selftest", "--seed", "1"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_nonpositive_term_bound_env_is_config_error(monkeypatch, capsys, raw):
+    saved = term_bound()
+    monkeypatch.setenv("CCC_MAX_TERMS", raw)
+    code = main(["selftest", "--seed", "1"])
+    assert code == EXIT_CONFIG
+    assert term_bound() == saved
+    assert "CCC_MAX_TERMS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "banana"])
+def test_invalid_term_bound_env_keeps_default_at_import(raw):
+    # a fresh interpreter, so the module reads the variable at import
+    probe = ("from coneflat.funcfield import DEFAULT_TERM_BOUND, MultiPoly, term_bound\n"
+             "assert term_bound() == DEFAULT_TERM_BOUND, term_bound()\n"
+             "MultiPoly.one(2)\n")
+    env = dict(os.environ, CCC_MAX_TERMS=raw)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_tripped_term_budget_is_config_error(monkeypatch, capsys):

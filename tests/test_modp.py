@@ -1,7 +1,6 @@
 import random
 
 from coneflat._modp import (
-    in_row_span_mod,
     is_probable_prime,
     kernel_mod,
     poly_divmod,
@@ -63,8 +62,9 @@ def test_rank_and_kernel_dimensions_random():
 def test_in_row_span():
     p = 97
     rows = [[1, 0, 2], [0, 1, 3]]
-    assert in_row_span_mod(rows, [2, 5, 19], p)   # 2*r0 + 5*r1
-    assert not in_row_span_mod(rows, [0, 0, 1], p)
+    columns = [list(col) for col in zip(*rows)]   # vec = y0*r0 + y1*r1
+    assert solve_mod(columns, [2, 5, 19], p) == [2, 5]
+    assert solve_mod(columns, [0, 0, 1], p) is None
 
 
 def test_solve_mod_consistent_and_not():
