@@ -4,11 +4,24 @@
 reduces over GF(p) when given a prime, and otherwise with the entries'
 own field operations, which covers ``Fraction`` and ``RatFunc``
 matrices.  Every GF(p) elimination enters through ``rref_mod``.
-Prime-field values are plain Python ints reduced mod p, so there is no
-overflow concern for word-sized primes.  Matrices are lists of rows;
-univariate polynomials are coefficient lists indexed by power (little
-endian) with no trailing zeros.  Mod-p evaluation of multivariate
-polynomials lives in ``funcfield.evaluate_reduced``.
+Each pivot step touches only the columns from the pivot column on: left
+of it the pivot row is already zero.  Prime-field values are plain
+Python ints reduced mod p, so there is no overflow concern for
+word-sized primes.  Matrices are lists of rows; univariate polynomials
+are coefficient lists indexed by power (little endian) with no trailing
+zeros.  Mod-p evaluation of multivariate polynomials lives in
+``funcfield.evaluate_reduced``.
+
+``poly_roots`` finds the roots in GF(p) by Cantor-Zassenhaus (Cantor and
+Zassenhaus 1981; von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 14) on the monic input.  Powers of x and of x + a modulo a monic
+polynomial are taken by left-to-right binary powering with one fused
+square-and-reduce step: products accumulate as unreduced ints and each
+coefficient is reduced mod p once, and a multiply by x + a is a shift
+plus one reduction step.  Quadratic factors are split with the same
+arithmetic on two scalars.  Its contract with seeded samplers: it
+advances the caller's generator by exactly the Cantor-Zassenhaus draws,
+one ``rng.randrange(p)`` per splitting attempt, in a fixed order.
 
 Internal module: the public API re-exports what callers need.
 """
@@ -51,7 +64,7 @@ def is_probable_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _eliminate(mat: list[list], p: int | None, below_only: bool) -> tuple[list[int], list, int]:
-    """Gauss-Jordan elimination of mat in place.
+    """Gauss-Jordan elimination of mat, whose rows it owns, in place.
 
     The pivot of a column is its first constant nonzero entry at or
     below the current row, else its first nonzero entry (for scalars
@@ -83,26 +96,29 @@ def _eliminate(mat: list[list], p: int | None, below_only: bool) -> tuple[list[i
         if pivot != r:
             mat[r], mat[pivot] = mat[pivot], mat[r]
             swaps += 1
-        lead = mat[r][col]
+        # left of col every row at or below r is already zero, and the
+        # rows above stay as they are there, so only columns >= col change
+        row = mat[r]
+        lead = row[col]
         if p is not None:
             inv = pow(lead, -1, p)
-            mat[r] = row = [c * inv % p for c in mat[r]]
-        elif below_only:
-            row = mat[r]        # rows below subtract (entry / lead) * row
-        else:
+            row[col:] = [c * inv % p for c in row[col:]]
+        elif not below_only:
             # zero entries are skipped here and below: a rational-function
             # product with zero still builds a new zero
-            mat[r] = row = [c / lead if c else c for c in mat[r]]
+            row[col:] = [c / lead if c else c for c in row[col:]]
+        tail = row[col:]    # with below_only, rows below subtract (entry / lead) * tail
         for i in range(r + 1 if below_only else 0, len(mat)):
-            factor = mat[i][col]
+            target = mat[i]
+            factor = target[col]
             if i == r or not factor:
                 continue
             if p is not None:
-                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], row)]
+                target[col:] = [(a - factor * b) % p for a, b in zip(target[col:], tail)]
                 continue
             if below_only:
                 factor = factor / lead
-            mat[i] = [a - factor * b if b else a for a, b in zip(mat[i], row)]
+            target[col:] = [a - factor * b if b else a for a, b in zip(target[col:], tail)]
         pivots.append(col)
         leads.append(lead)
         r += 1
@@ -148,7 +164,12 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def kernel_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis (list of length-ncols vectors) of {v : A v = 0 mod p}."""
-    reduced, pivots = rref_mod(rows, p)
+    return kernel_from_rref(*rref_mod(rows, p), ncols, p)
+
+
+def kernel_from_rref(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int,
+                     p: int) -> list[list[int]]:
+    """``kernel_mod`` of a matrix given by its ``rref_mod`` output."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -196,15 +217,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return poly_trim(out)
 
 
-def poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return poly_trim(out)
-
-
 def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     a = poly_trim(list(a))
     b = poly_trim(list(b))
@@ -239,19 +251,6 @@ def poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
-def poly_powmod(base: Sequence[int], exp: int, modulus: Sequence[int], p: int) -> list[int]:
-    """base^exp mod (modulus, p) by binary powering."""
-    result = [1]
-    base = poly_mod(base, modulus, p)
-    while exp:
-        if exp & 1:
-            result = poly_mod(poly_mul(result, base, p), modulus, p)
-        exp >>= 1
-        if exp:
-            base = poly_mod(poly_mul(base, base, p), modulus, p)
-    return result
-
-
 def poly_eval(a: Sequence[int], x: int, p: int) -> int:
     acc = 0
     for c in reversed(a):
@@ -259,17 +258,53 @@ def poly_eval(a: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
-def poly_diff(a: Sequence[int], p: int) -> list[int]:
-    return poly_trim([(k * c) % p for k, c in enumerate(a)][1:])
+def _powmod_linear(a: int, exp: int, f: Sequence[int], p: int) -> list[int]:
+    """(x + a)^exp mod (f, p) for a monic f of degree d >= 2 and exp >= 1,
+    as d coefficients (leading zeros kept).
+
+    Left-to-right binary powering.  Each bit squares g with unreduced
+    int products and divides the square by f from the top, so each
+    coefficient is reduced mod p once; a one bit then multiplies by
+    x + a, a shift plus one reduction step.
+    """
+    d = len(f) - 1
+    low = f[:-1]
+    tops = range(2 * d - 2, d - 1, -1)
+    g = [a % p, 1] + [0] * (d - 2)
+    for bit in bin(exp)[3:]:
+        sq = [0] * (2 * d - 1)
+        for i, c in enumerate(g):
+            if c:
+                sq[2 * i] += c * c
+                c2 = 2 * c
+                for j in range(i + 1, d):
+                    sq[i + j] += c2 * g[j]
+        for k in tops:
+            q = sq[k] % p
+            if q:
+                base = k - d
+                for i, fc in enumerate(low):
+                    sq[base + i] -= q * fc
+        if bit == "1":
+            # x g + a g with x^d = -(f[0] + ... + f[d-1] x^(d-1)) mod f
+            top = sq[d - 1] % p
+            g = [(s + a * c - top * fc) % p for s, c, fc in zip([0] + sq[:d - 1], sq, low)]
+        else:
+            g = [c % p for c in sq[:d]]
+    return g
 
 
 def poly_roots(coeffs: Sequence[int], p: int, rng: random.Random | None = None) -> list[int]:
     """All roots in GF(p) of a univariate polynomial (no multiplicities).
 
-    Splits off the product of distinct linear factors with gcd(x^p - x, f),
-    then isolates the roots by equal-degree splitting.  Degree 0 input
-    (including the zero polynomial) yields no roots; callers that sample
-    the zero polynomial must treat that case themselves.
+    Makes f monic, splits off the product of its distinct linear factors
+    with gcd(x^p - x, f), then isolates the roots by equal-degree
+    splitting: for a drawn a, a factor g splits by gcd(probe - 1, g) or
+    else gcd(probe + 1, g), where probe = (x + a)^((p-1)/2) mod g.  The
+    only use of rng is one ``rng.randrange(p)`` per splitting attempt.
+    Degree 0 input (including the zero polynomial) yields no roots;
+    callers that sample the zero polynomial must treat that case
+    themselves.
     """
     if rng is None:
         rng = random.Random(0x5EED)
@@ -277,20 +312,21 @@ def poly_roots(coeffs: Sequence[int], p: int, rng: random.Random | None = None) 
     if len(f) <= 1:
         return []
     roots: list[int] = []
-    # factor out x
-    shift = 0
-    while f and f[0] == 0:
-        f = f[1:]
-        shift += 1
-    if shift:
+    if f[0] == 0:
         roots.append(0)
+        while f[0] == 0:
+            f = f[1:]
     if len(f) <= 1:
+        return roots
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    if len(f) == 2:
+        roots.append(-f[0] % p)
         return sorted(roots)
     # product of the distinct linear factors: gcd(x^p - x, f)
-    xp = poly_powmod([0, 1], p, f, p)
-    linear_part = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
-    if len(linear_part) <= 1:
-        return sorted(roots)
+    xp = _powmod_linear(0, p, f, p)
+    xp[1] = (xp[1] - 1) % p
+    linear_part = poly_gcd(xp, f, p)
 
     def split(g: list[int]):
         deg = len(g) - 1
@@ -304,21 +340,35 @@ def poly_roots(coeffs: Sequence[int], p: int, rng: random.Random | None = None) 
                 if poly_eval(g, candidate, p) == 0:
                     roots.append(candidate)
             return
+        if deg == 2:
+            # scalar form of the loop below: probe = u x + v, and
+            # gcd(probe -+ 1, g) is x - t for the root t of probe -+ 1
+            # exactly when g(t) == 0
+            c0, c1 = g[0], g[1]
+            while True:
+                a = rng.randrange(p)
+                u, v = 1, a
+                for bit in bin((p - 1) // 2)[3:]:
+                    uu = u * u % p
+                    u, v = (2 * u * v - c1 * uu) % p, (v * v - c0 * uu) % p
+                    if bit == "1":
+                        u, v = (a * u + v - c1 * u) % p, (a * v - c0 * u) % p
+                if u:
+                    inv_u = pow(u, -1, p)
+                    for shift in (-1, 1):
+                        t = -(v + shift) * inv_u % p
+                        if (t * t + c1 * t + c0) % p == 0:
+                            roots.extend((t, (-c1 - t) % p))
+                            return
         while True:
             a = rng.randrange(p)
-            probe = poly_powmod([a, 1], (p - 1) // 2, g, p)
-            probe = poly_sub(probe, [1], p)
-            h = poly_gcd(probe, g, p)
-            if 0 < len(h) - 1 < deg:
-                split(h)
-                split(poly_divmod(g, h, p)[0])
-                return
-            # also try gcd with the polynomial itself shifted by +1
-            h = poly_gcd(poly_sub(probe, [p - 2], p), g, p)
-            if 0 < len(h) - 1 < deg:
-                split(h)
-                split(poly_divmod(g, h, p)[0])
-                return
+            probe = _powmod_linear(a, (p - 1) // 2, g, p)
+            for shift in (-1, 1):
+                h = poly_gcd([(probe[0] + shift) % p] + probe[1:], g, p)
+                if 0 < len(h) - 1 < deg:
+                    split(h)
+                    split(poly_divmod(g, h, p)[0])
+                    return
 
     split(linear_part)
     return sorted(roots)

@@ -393,9 +393,12 @@ class MultiPoly:
 
     def lift(self, nvars_new: int, var_map: Sequence[int]) -> MultiPoly:
         """Re-embed into a chart with more variables; var_map[i] is the new
-        index of old variable i."""
+        index of old variable i, and no two old variables share one."""
         if len(var_map) != self.nvars:
             raise FuncFieldError("var_map length mismatch")
+        if len(set(var_map)) != len(var_map) or not all(0 <= k < nvars_new for k in var_map):
+            raise FuncFieldError(f"var_map {list(var_map)} is not an injective map "
+                                 f"into range({nvars_new})")
         out: dict[Exponent, int] = {}
         for exp, coeff in self.coeffs.items():
             new = [0] * nvars_new

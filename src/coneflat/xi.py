@@ -550,23 +550,29 @@ def assemble_xiZ_constraints(z, count: int, seed, fieldtag) -> ConstraintBatch:
 
 def _kernel_dim_stabilized(z, p: int, config: XiConfig):
     """Kernel basis mod p with sample doubling until the dimension stops
-    moving; returns (basis, dim, samples_used, stabilized, all_rows)."""
-    n = _poly_of(z).nvars
-    count = max(config.samples, coordinate_dim(n))
-    rows = []
+    moving; returns (basis, dim, samples_used, stabilized, reduced).
+
+    Each stage reduces the previous stage's RREF rows together with the
+    new batch, which gives the RREF of every row gathered so far (the
+    RREF of a row space is unique); reduced holds those at most
+    coordinate_dim(n) rows.
+    """
+    ncols = coordinate_dim(_poly_of(z).nvars)
+    count = max(config.samples, ncols)
+    reduced = []
     prev_dim = None
     used = 0
     stage = 0
     while True:
         batch = assemble_xiZ_constraints(z, count, f"{config.seed}:p{p}:s{stage}", p)
-        rows.extend(batch.rows)
+        reduced, pivots = _modp.rref_mod(reduced + batch.rows, p)
         used += count
-        basis = _modp.kernel_mod(rows, coordinate_dim(n), p)
+        basis = _modp.kernel_from_rref(reduced, pivots, ncols, p)
         dim = len(basis)
         if prev_dim is not None and dim == prev_dim:
-            return basis, dim, used, True, rows
+            return basis, dim, used, True, reduced
         if stage >= config.max_doublings:
-            return basis, dim, used, prev_dim == dim, rows
+            return basis, dim, used, prev_dim == dim, reduced
         prev_dim = dim
         stage += 1
         count = used  # next batch doubles the running total
@@ -613,14 +619,15 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     all_stable = True
     contains_all = True
     for p in config.primes:
-        basis, dim, used, stabilized, rows = _kernel_dim_stabilized(z, p, config)
-        results[p] = (basis, dim, used, rows)
+        basis, dim, used, stabilized, reduced = _kernel_dim_stabilized(z, p, config)
+        results[p] = (basis, dim)
         all_stable = all_stable and stabilized
         if not stabilized:
             meta["notes"].append(f"dimension did not stabilize mod {p}")
         for b in xiv.basis:
             vec = b.reduce_mod(p).coordinates()
-            for row in rows:
+            # the reduced rows span the constraint rows: same verdict
+            for row in reduced:
                 if sum(r * v for r, v in zip(row, vec)) % p != 0:
                     contains_all = False
                     meta["notes"].append(f"iota basis tensor violates a row mod {p}")

@@ -5,6 +5,7 @@ import pytest
 
 from coneflat.funcfield import (
     BadPrimeError,
+    FuncFieldError,
     MultiPoly,
     ParseError,
     PoleError,
@@ -344,3 +345,13 @@ def test_lift_into_larger_chart():
     q = p.lift(6, [0, 2, 4])
     assert q.nvars == 6
     assert q.terms == {(1, 0, 1, 0, 0, 0): Fraction(1)}
+
+
+def test_lift_rejects_non_injective_or_out_of_range_map():
+    p = MultiPoly(2, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    for nvars_new, var_map in ((1, [0, 0]), (3, [1, 1]), (2, [0, 2]), (2, [0, -1])):
+        with pytest.raises(FuncFieldError):
+            p.lift(nvars_new, var_map)
+        with pytest.raises(FuncFieldError):
+            RatFunc(p).lift(nvars_new, var_map)
+    assert p.lift(2, [1, 0]) == p

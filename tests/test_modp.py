@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from coneflat._modp import (
     is_probable_prime,
     kernel_mod,
@@ -12,6 +15,7 @@ from coneflat._modp import (
     rref_mod,
     solve_mod,
 )
+from coneflat.xi import DEFAULT_PRIMES
 
 
 def test_is_probable_prime_small():
@@ -141,3 +145,79 @@ def test_poly_roots_with_zero_root_and_multiplicity():
     # x^2 (x - 4)^3
     f = poly_mul([0, 0, 1], poly_mul(poly_mul([p - 4, 1], [p - 4, 1], p), [p - 4, 1], p), p)
     assert poly_roots(f, p) == [0, 4]
+
+
+SMALL_PRIMES = [q for q in range(2, 51) if all(q % d for d in range(2, q))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES), st.lists(st.integers(-60, 60), max_size=9),
+       st.integers(0, 2**32))
+def test_poly_roots_is_the_brute_force_root_set(p, coeffs, seed):
+    reduced = [c % p for c in coeffs]
+    while reduced and reduced[-1] == 0:
+        reduced.pop()
+    want = [] if len(reduced) <= 1 else [x for x in range(p) if poly_eval(reduced, x, p) == 0]
+    assert poly_roots(coeffs, p, random.Random(seed)) == want
+
+
+def _non_residue(p):
+    return next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_poly_roots_planted_at_default_primes(p):
+    rng = random.Random(p)
+    # x^2 - c with c a non-residue has no root, so the planted roots are all
+    c = _non_residue(p)
+    for nroots in range(6):
+        planted = sorted(set(rng.randrange(p) for _ in range(nroots)))
+        f = [(-c) % p, 0, 1]
+        for r in planted:
+            f = poly_mul(f, [(p - r) % p, 1], p)
+        f = poly_mul(f, [rng.randrange(1, p)], p)      # not monic
+        assert poly_roots(f, p, rng) == planted
+
+
+# rng.random() right after poly_roots(f, p, random.Random(2026)), recorded
+# from the root finder before the fused powering: a change to the number
+# or the order of the splitting draws moves these values
+PINNED_DRAWS = {
+    (2147483647, "quadratic"): ([3, 11], 0.511822712773071),
+    (2147483647, "planted"): ([5, 88914653, 123456789, 730929908, 987654321, 1327639086,
+                               2147483645], 0.8948071345763702),
+    (2147483647, "dense"): ([1703517916, 1938684119, 2115953524], 0.5025157552312506),
+    (2147483629, "quadratic"): ([3, 11], 0.9529506124752525),
+    (2147483629, "planted"): ([5, 123456789, 987654321, 2147483627], 0.10263685050695981),
+    (2147483629, "dense"): ([638498216], 0.11911988496396309),
+}
+
+
+def _pinned_input(p, name):
+    if name == "quadratic":
+        return poly_mul([p - 3, 1], [p - 11, 1], p)
+    if name == "dense":
+        return [5, p - 1, 7, 0, 3, 1]
+    f = [3, 0, 0, 2]
+    for r in (5, 123456789, 987654321, p - 2):
+        f = poly_mul(f, [(p - r) % p, 1], p)
+    return f
+
+
+@pytest.mark.parametrize("p, name", sorted(PINNED_DRAWS))
+def test_poly_roots_advances_rng_by_the_pinned_draws(p, name):
+    roots, after = PINNED_DRAWS[p, name]
+    rng = random.Random(2026)
+    assert poly_roots(_pinned_input(p, name), p, rng) == roots
+    assert rng.random() == after
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 6),
+       st.lists(st.lists(st.integers(0, 12), min_size=6, max_size=6), max_size=6),
+       st.lists(st.lists(st.integers(0, 12), min_size=6, max_size=6), max_size=6))
+def test_rref_of_reduced_rows_and_batch_equals_rref_of_all_rows(p, ncols, a, b):
+    a = [row[:ncols] for row in a]
+    b = [row[:ncols] for row in b]
+    reduced, _ = rref_mod(a, p)
+    assert rref_mod(reduced + b, p) == rref_mod(a + b, p)
