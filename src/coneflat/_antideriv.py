@@ -102,11 +102,6 @@ class UniPoly:
     def scale(self, c) -> UniPoly:
         return UniPoly(self.nvars, [coeff * c for coeff in self.coeffs])
 
-    def shift_mul(self, k: int) -> UniPoly:
-        """Multiply by t^k."""
-        zero = RatFunc.const(self.nvars, 0)
-        return UniPoly(self.nvars, [zero] * k + self.coeffs)
-
     def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -441,9 +436,6 @@ class LogCombination:
             val = arg.evaluate(point)
             total += float(m) * math.log(abs(val / arg_base))
         return total
-
-    def is_log_free(self) -> bool:
-        return not self.logs
 
     def has_integer_multiplicities(self) -> bool:
         return all(m.denominator == 1 for m, _, _ in self.logs)

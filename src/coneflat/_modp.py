@@ -3,7 +3,9 @@
 ``row_reduce`` is the one Gauss-Jordan elimination of the package: it
 reduces over GF(p) when given a prime, and otherwise with the entries'
 own field operations, which covers ``Fraction`` and ``RatFunc``
-matrices.  Every GF(p) elimination enters through ``rref_mod``.
+matrices.  Every GF(p) elimination enters through ``rref_mod``; the
+kernel of a single row (a tangent space of a cone point) is written down
+directly by ``kernel_of_row_mod``.
 Each pivot step touches only the columns from the pivot column on: left
 of it the pivot row is already zero.  Prime-field values are plain
 Python ints reduced mod p, so there is no overflow concern for
@@ -165,6 +167,26 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
 def kernel_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis (list of length-ncols vectors) of {v : A v = 0 mod p}."""
     return kernel_from_rref(*rref_mod(rows, p), ncols, p)
+
+
+def kernel_of_row_mod(row: Sequence[int], p: int) -> list[list[int]]:
+    """``kernel_mod([row], len(row), p)`` written down without
+    elimination: with pivot c the first column where row[c] != 0 mod p,
+    free column f has basis vector e_f with entry -row[f] / row[c] at c.
+    A zero row has the unit vectors as its kernel."""
+    ncols = len(row)
+    pivot = next((c for c, v in enumerate(row) if v % p), None)
+    if pivot is None:
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    scale = -pow(row[pivot], -1, p)
+    basis = []
+    for free in range(ncols):
+        if free != pivot:
+            vec = [0] * ncols
+            vec[free] = 1
+            vec[pivot] = row[free] * scale % p
+            basis.append(vec)
+    return basis
 
 
 def kernel_from_rref(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int,

@@ -7,6 +7,17 @@ exterior derivatives, structure functions, the induced coframe
 (theta, lambda) on the tangent chart, the geodesic flow, and exact
 verification of the bracket identities tying them together.
 
+Each derived object is computed once, on first use, and every check
+reads it: Coframe.dual (one mat_inverse), Coframe.structure (verified)
+and Coframe.induced, whose InducedCoframe holds the tangent frames from
+one tangent_dual_frame call, the geodesic flow gamma and the brackets
+[(D_lambda)_a, gamma] with their exact comparison against D_theta.  A
+coframe holds its induced coframe weakly: InducedCoframe.base points
+back at it, and a strong cycle would keep a discarded coframe's
+expressions alive until the cyclic garbage collector runs.  So the
+induced coframe is shared while some caller, such as a ConeStructure,
+holds it.
+
 Sign convention: with c defined by d omega^k = sum_{a<b} c^k_{ab}
 omega^a wedge omega^b, the dual-frame fields satisfy
 [D_a, D_b] = - sum_k c^k_{ab} D_k.  The minus sign is forced by the
@@ -16,8 +27,10 @@ concrete formulas and is asserted, not assumed, by the bracket checks.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from coneflat import _modp
@@ -175,10 +188,6 @@ def mat_inverse(a: Sequence[Sequence[RatFunc]]) -> Matrix:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
-def evaluate_matrix(a: Sequence[Sequence[RatFunc]], point):
-    return [[entry.evaluate(point) for entry in row] for row in a]
-
-
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -208,10 +217,34 @@ class Coframe:
             raise SingularCoframeError("coframe has a pole at the base point") from None
         if det_at_base == 0:
             raise SingularCoframeError("coframe determinant vanishes at the base point")
+        self._structure: StructureFunction | None = None
+        self._induced: weakref.ref | None = None
 
     @property
     def n(self) -> int:
         return self.chart.n
+
+    @cached_property
+    def dual(self) -> FrameField:
+        """The dual frame B = A^{-1}, from one mat_inverse."""
+        return FrameField(self.chart, mat_inverse(self.a))
+
+    @property
+    def structure(self) -> StructureFunction:
+        """The verified structure function (see structure_function)."""
+        if self._structure is None:
+            return structure_function(self)
+        return self._structure
+
+    @property
+    def induced(self) -> InducedCoframe:
+        """The induced pair on the tangent chart, built once while some
+        caller holds it (held weakly; see the module docstring)."""
+        ic = self._induced() if self._induced is not None else None
+        if ic is None:
+            ic = _build_induced_coframe(self)
+            self._induced = weakref.ref(ic)
+        return ic
 
     @property
     def det(self) -> RatFunc:
@@ -254,10 +287,6 @@ class FrameField:
 
     chart: Chart
     matrix: Matrix   # matrix[j][a]: d/dx_j coefficient of vector a
-
-    @property
-    def nvec(self) -> int:
-        return len(self.matrix[0])
 
     def vector(self, a: int) -> VectorField:
         return VectorField(self.chart, tuple(row[a] for row in self.matrix))
@@ -376,9 +405,8 @@ class StructureFunction(AntisymmetricComponents):
 
 def dual_frame(cf: Coframe) -> FrameField:
     """Frame field B = A^{-1}: vector a is sum_j B[j][a] d/dx_j, with
-    B A = A B = I exactly."""
-    b = mat_inverse(cf.a)
-    return FrameField(cf.chart, b)
+    B A = A B = I exactly (cf.dual, computed once)."""
+    return cf.dual
 
 
 def exterior_derivative(cf: Coframe) -> VValuedForm2:
@@ -400,11 +428,16 @@ def structure_function(cf: Coframe, dual: FrameField | None = None,
 
     Computed by contracting d omega with the dual frame; when verify is
     set (the default) the reconstruction through A is checked to be an
-    exact identity, so a returned value is a proof.
+    exact identity, so a returned value is a proof.  With no explicit
+    dual, a verified result is stored on cf and returned by later calls
+    and by cf.structure; a failed reconstruction stores nothing and
+    raises on every call.
     """
+    if dual is None and cf._structure is not None:
+        return cf._structure
     n = cf.n
     w = exterior_derivative(cf)
-    b = (dual or dual_frame(cf)).matrix
+    b = (dual or cf.dual).matrix
     comps: dict[tuple[int, int, int], RatFunc] = {}
     for (k, i, j), wk in w.components.items():
         for a in range(n):
@@ -435,6 +468,8 @@ def structure_function(cf: Coframe, dual: FrameField | None = None,
                         raise FuncFieldError(
                             "structure function reconstruction failed; "
                             "the coframe data is inconsistent")
+        if dual is None:
+            cf._structure = sf
     return sf
 
 
@@ -450,18 +485,6 @@ class CheckReport:
     seed: object = None
     details: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "mode": self.mode,
-            "max_residual": str(self.max_residual),
-            "samples": self.samples,
-            "seed": self.seed,
-            "details": {k: (v if isinstance(v, (bool, int, str)) else str(v))
-                        for k, v in self.details.items()},
-        }
-
 
 def frame_bracket_check(cf: Coframe, count: int = 10, seed=0,
                         mode: str = "exact", tol: float = 1e-8) -> CheckReport:
@@ -472,8 +495,8 @@ def frame_bracket_check(cf: Coframe, count: int = 10, seed=0,
     compares both sides numerically within tol.
     """
     n = cf.n
-    frame = dual_frame(cf)
-    sf = structure_function(cf, dual=frame)
+    frame = cf.dual
+    sf = cf.structure
     diffs = []
     for a in range(n):
         va = frame.vector(a)
@@ -490,23 +513,12 @@ def frame_bracket_check(cf: Coframe, count: int = 10, seed=0,
             diffs.append([bracket.components[j] - expected[j] for j in range(n)])
     exact_ok = all(d.is_zero() for row in diffs for d in row)
 
-    avoid = cf.pole_polynomials()
-    if mode == "exact":
-        points = sample_points(cf.chart, count, seed, avoid)
-        max_res = Fraction(0)
-        for pt in points:
-            for row in diffs:
-                for d in row:
-                    max_res = max(max_res, abs(d.evaluate(pt)))
-        passed = exact_ok and max_res == 0
-    else:
-        points = float_points(cf.chart, count, seed, avoid)
-        max_res = 0.0
-        for pt in points:
-            for row in diffs:
-                for d in row:
-                    max_res = max(max_res, abs(d.evaluate(pt)))
-        passed = max_res < tol
+    exact = mode == "exact"
+    points = (sample_points if exact else float_points)(cf.chart, count, seed,
+                                                        cf.pole_polynomials())
+    max_res = max((abs(d.evaluate(pt)) for pt in points for row in diffs for d in row),
+                  default=Fraction(0) if exact else 0.0)
+    passed = (exact_ok and max_res == 0) if exact else max_res < tol
     return CheckReport(name="frame_bracket", passed=passed, mode=mode,
                        max_residual=max_res, samples=len(points), seed=seed,
                        details={"exact_identity": exact_ok})
@@ -514,7 +526,7 @@ def frame_bracket_check(cf: Coframe, count: int = 10, seed=0,
 
 def check_d_lemma(cf: Coframe, f: RatFunc, dual: FrameField | None = None) -> bool:
     """df = (D f)-sharp omega: d_j f = sum_a (D_a f) A[a][j], exactly."""
-    frame = dual or dual_frame(cf)
+    frame = dual or cf.dual
     n = cf.n
     directional = [frame.apply(a, f) for a in range(n)]
     for j in range(n):
@@ -525,18 +537,6 @@ def check_d_lemma(cf: Coframe, f: RatFunc, dual: FrameField | None = None) -> bo
         if acc != f.diff(j):
             return False
     return True
-
-
-def scalar_one_form_d(chart: Chart, coeffs: Sequence[RatFunc]) -> dict[tuple[int, int], RatFunc]:
-    """Exterior derivative of the scalar 1-form sum_j coeffs[j] dx_j."""
-    n = chart.n
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = coeffs[j].diff(i) - coeffs[i].diff(j)
-            if not val.is_zero():
-                out[(i, j)] = val
-    return out
 
 
 def pullback_linear(cf: Coframe, lmat: Sequence[Sequence[Fraction]]) -> Coframe:
@@ -589,7 +589,9 @@ class InducedCoframe:
     """The pair (theta, lambda) on the tangent chart, as one 2n-matrix.
 
     Row k (k < n) is theta^k; row n+k is lambda^k = d mu^k where
-    mu = A(x) y.  Columns run over (dx_1..dx_n, dy_1..dy_n).
+    mu = A(x) y.  Columns run over (dx_1..dx_n, dy_1..dy_n).  The dual
+    frames, the geodesic flow and the brackets [(D_lambda)_a, gamma]
+    are computed on first use and shared by every check.
     """
 
     base: Coframe
@@ -608,8 +610,35 @@ class InducedCoframe:
         """Pull a function on the base chart up to the tangent chart."""
         return h.lift(2 * self.n, list(range(self.n)))
 
+    @cached_property
+    def frames(self) -> tuple[FrameField, FrameField]:
+        """(D_theta, D_lambda), from one call of tangent_dual_frame."""
+        return tangent_dual_frame(self)
 
-def induced_coframe(cf: Coframe) -> InducedCoframe:
+    @cached_property
+    def gamma(self) -> VectorField:
+        """The geodesic flow gamma = sum_a mu^a (D_theta)_a."""
+        d_theta, n = self.frames[0].matrix, self.n
+        return VectorField(self.chart, tuple(
+            sum((self.mu[a] * d_theta[s][a] for a in range(n)
+                 if not d_theta[s][a].is_zero() and not self.mu[a].is_zero()),
+                RatFunc.const(2 * n, 0))
+            for s in range(2 * n)))
+
+    @cached_property
+    def lambda_gamma_brackets(self) -> tuple[tuple[VectorField, bool], ...]:
+        """[(D_lambda)_a, gamma] for each a, with the exact verdict of
+        whether it equals (D_theta)_a."""
+        d_theta, d_lambda = self.frames
+        out = []
+        for a in range(self.n):
+            br = d_lambda.vector(a).bracket(self.gamma)
+            out.append((br, all(c == d_theta.matrix[s][a]
+                                for s, c in enumerate(br.components))))
+        return tuple(out)
+
+
+def _build_induced_coframe(cf: Coframe) -> InducedCoframe:
     n = cf.n
     ynames = _tangent_variable_names(cf.chart)
     chart = Chart(2 * n, cf.chart.variables + ynames,
@@ -617,30 +646,48 @@ def induced_coframe(cf: Coframe) -> InducedCoframe:
     lift_map = list(range(n))
     a2 = [[cf.a[k][j].lift(2 * n, lift_map) for j in range(n)] for k in range(n)]
     yvars = [RatFunc.var(2 * n, n + j) for j in range(n)]
-    mu = []
-    for k in range(n):
-        acc = RatFunc.const(2 * n, 0)
-        for j in range(n):
-            if not a2[k][j].is_zero():
-                acc = acc + a2[k][j] * yvars[j]
-        mu.append(acc)
     zero = RatFunc.const(2 * n, 0)
-    rows = []
-    for k in range(n):
-        rows.append(tuple(a2[k]) + tuple(zero for _ in range(n)))
+    mu = tuple(sum((a2[k][j] * yvars[j] for j in range(n) if not a2[k][j].is_zero()), zero)
+               for k in range(n))
+    rows = [tuple(a2[k]) + (zero,) * n for k in range(n)]
     for k in range(n):
         # lambda^k = sum_l E[k][l] dx_l + sum_j A[k][j] dy_j,
         # E[k][l] = sum_j (d_l A[k][j]) y_j
         e_row = []
         for l in range(n):
-            acc = RatFunc.const(2 * n, 0)
+            acc = zero
             for j in range(n):
                 d = cf.a[k][j].diff(l)
                 if not d.is_zero():
                     acc = acc + d.lift(2 * n, lift_map) * yvars[j]
             e_row.append(acc)
         rows.append(tuple(e_row) + tuple(a2[k]))
-    return InducedCoframe(base=cf, chart=chart, matrix=tuple(rows), mu=tuple(mu))
+    return InducedCoframe(base=cf, chart=chart, matrix=tuple(rows), mu=mu)
+
+
+def induced_coframe(cf: Coframe) -> InducedCoframe:
+    """The induced pair of cf: cf.induced, one object while it is held."""
+    return cf.induced
+
+
+# the four n-by-n blocks of M . [D_theta | D_lambda] = I_2n, with the
+# (row, column) offset of each
+_PAIRINGS = {"theta_of_dtheta_is_identity": (0, 0),
+             "theta_of_dlambda_is_zero": (0, 1),
+             "lambda_of_dtheta_is_zero": (1, 0),
+             "lambda_of_dlambda_is_identity": (1, 1)}
+
+
+def _pairings(ic: InducedCoframe, frames: tuple[FrameField, FrameField]) -> dict[str, bool]:
+    """Each pairing of theta and lambda with D_theta and D_lambda,
+    checked exactly as one block of M . [D_theta | D_lambda] = I_2n."""
+    n = ic.n
+    d_theta, d_lambda = frames
+    product = mat_mul(ic.matrix, tuple(d_theta.matrix[s] + d_lambda.matrix[s]
+                                       for s in range(2 * n)))
+    return {name: all(product[r * n + k][c * n + a] == (1 if r == c and k == a else 0)
+                      for k in range(n) for a in range(n))
+            for name, (r, c) in _PAIRINGS.items()}
 
 
 def tangent_dual_frame(ic: InducedCoframe) -> tuple[FrameField, FrameField]:
@@ -651,59 +698,35 @@ def tangent_dual_frame(ic: InducedCoframe) -> tuple[FrameField, FrameField]:
     """
     n = ic.n
     lift_map = list(range(n))
-    b_base = mat_inverse(ic.base.a)
-    b2 = [[b_base[i][j].lift(2 * n, lift_map) for j in range(n)] for i in range(n)]
-    e = [[ic.matrix[n + k][l] for l in range(n)] for k in range(n)]
-    minus_beb = mat_mul(b2, mat_mul(e, b2))
-    minus_beb = [[-entry for entry in row] for row in minus_beb]
+    b2 = tuple(tuple(entry.lift(2 * n, lift_map) for entry in row)
+               for row in ic.base.dual.matrix)
+    e = [row[:n] for row in ic.matrix[n:]]
+    minus_beb = tuple(tuple(-entry for entry in row) for row in mat_mul(b2, mat_mul(e, b2)))
     zero = RatFunc.const(2 * n, 0)
-
-    d_theta = tuple(tuple(b2[j][a] for a in range(n)) for j in range(n)) + \
-        tuple(tuple(minus_beb[j][a] for a in range(n)) for j in range(n))
-    d_lambda = tuple(tuple(zero for _ in range(n)) for _ in range(n)) + \
-        tuple(tuple(b2[j][a] for a in range(n)) for j in range(n))
-
-    # the six pairing relations amount to M . [d_theta | d_lambda] = I_2n
-    combined = tuple(tuple(d_theta[s] + d_lambda[s]) for s in range(2 * n))
-    product = mat_mul(ic.matrix, combined)
-    for i in range(2 * n):
-        for j in range(2 * n):
-            want = 1 if i == j else 0
-            if product[i][j] != want:
-                raise SingularCoframeError(
-                    "induced dual frame failed the pairing identity")
-    return (FrameField(ic.chart, d_theta), FrameField(ic.chart, d_lambda))
+    frames = (FrameField(ic.chart, b2 + minus_beb),
+              FrameField(ic.chart, ((zero,) * n,) * n + b2))
+    if not all(_pairings(ic, frames).values()):
+        raise SingularCoframeError("induced dual frame failed the pairing identity")
+    return frames
 
 
 def check_dual_relations(ic: InducedCoframe,
                          frames: tuple[FrameField, FrameField] | None = None) -> dict[str, bool]:
     """The pairing relations of the induced pair, each checked exactly.
 
-    The mu relations are recomputed by direct differentiation of mu,
-    independently of the matrix identity used to build the frames.
+    With the default frames (ic.frames) the four pairings are read off
+    the product M . [D_theta | D_lambda] = I_2n that tangent_dual_frame
+    proved when it built them; other frames are multiplied out.  The mu
+    relations are recomputed by direct differentiation of mu,
+    independently of that matrix identity.
     """
     n = ic.n
-    d_theta, d_lambda = frames or tangent_dual_frame(ic)
-    results: dict[str, bool] = {}
-
-    def pairing(rows_offset: int, frame: FrameField) -> list[list[RatFunc]]:
-        return [[sum((ic.matrix[rows_offset + k][s] * frame.matrix[s][a]
-                      for s in range(2 * n) if not ic.matrix[rows_offset + k][s].is_zero()),
-                     RatFunc.const(2 * n, 0))
-                 for a in range(n)] for k in range(n)]
-
-    theta_theta = pairing(0, d_theta)
-    theta_lambda = pairing(0, d_lambda)
-    lambda_theta = pairing(n, d_theta)
-    lambda_lambda = pairing(n, d_lambda)
-    results["theta_of_dtheta_is_identity"] = all(
-        theta_theta[k][a] == (1 if k == a else 0) for k in range(n) for a in range(n))
-    results["theta_of_dlambda_is_zero"] = all(
-        theta_lambda[k][a].is_zero() for k in range(n) for a in range(n))
-    results["lambda_of_dtheta_is_zero"] = all(
-        lambda_theta[k][a].is_zero() for k in range(n) for a in range(n))
-    results["lambda_of_dlambda_is_identity"] = all(
-        lambda_lambda[k][a] == (1 if k == a else 0) for k in range(n) for a in range(n))
+    if frames is None:
+        frames = ic.frames
+        results = dict.fromkeys(_PAIRINGS, True)
+    else:
+        results = _pairings(ic, frames)
+    d_theta, d_lambda = frames
 
     # mu relations by direct differentiation
     results["dtheta_mu_is_zero"] = all(
@@ -713,7 +736,7 @@ def check_dual_relations(ic: InducedCoframe,
         for k in range(n) for a in range(n))
 
     # projection: the x-components of D_theta form the base dual frame
-    b_base = mat_inverse(ic.base.a)
+    b_base = ic.base.dual.matrix
     lift_map = list(range(n))
     results["dpi_dtheta_is_dual_frame"] = all(
         d_theta.matrix[j][a] == b_base[j][a].lift(2 * n, lift_map)
@@ -723,54 +746,33 @@ def check_dual_relations(ic: InducedCoframe,
     return results
 
 
-def geodesic_flow(cf_or_ic, frames=None) -> VectorField:
+def geodesic_flow(cf_or_ic) -> VectorField:
     """The vector field gamma = sum_a mu^a (D_theta)_a on the tangent chart.
 
     Its dx-components are exactly the fiber coordinates y, which is the
     statement that gamma projects to the tautological vector.
     """
-    ic = cf_or_ic if isinstance(cf_or_ic, InducedCoframe) else induced_coframe(cf_or_ic)
-    d_theta = (frames or tangent_dual_frame(ic))[0]
-    n = ic.n
-    comps = []
-    for s in range(2 * n):
-        acc = RatFunc.const(2 * n, 0)
-        for a in range(n):
-            if not d_theta.matrix[s][a].is_zero() and not ic.mu[a].is_zero():
-                acc = acc + ic.mu[a] * d_theta.matrix[s][a]
-        comps.append(acc)
-    return VectorField(ic.chart, tuple(comps))
+    ic = cf_or_ic if isinstance(cf_or_ic, InducedCoframe) else cf_or_ic.induced
+    return ic.gamma
 
 
-def check_geodesic_identities(ic: InducedCoframe,
-                              frames: tuple[FrameField, FrameField] | None = None) -> dict[str, bool]:
+def check_geodesic_identities(ic: InducedCoframe) -> dict[str, bool]:
     """Exact checks: gamma projects to the tautological vector and
     [D_lambda, gamma] = D_theta."""
     n = ic.n
-    d_theta, d_lambda = frames or tangent_dual_frame(ic)
-    gamma = geodesic_flow(ic, frames=(d_theta, d_lambda))
-    results: dict[str, bool] = {}
-    results["dpi_gamma_is_tautological"] = all(
-        gamma.components[j] == RatFunc.var(2 * n, n + j) for j in range(n))
-    ok = True
-    for a in range(n):
-        br = d_lambda.vector(a).bracket(gamma)
-        for s in range(2 * n):
-            if br.components[s] != d_theta.matrix[s][a]:
-                ok = False
-    results["bracket_dlambda_gamma_is_dtheta"] = ok
-    return results
+    return {"dpi_gamma_is_tautological": all(
+                ic.gamma.components[j] == RatFunc.var(2 * n, n + j) for j in range(n)),
+            "bracket_dlambda_gamma_is_dtheta": all(
+                equal for _, equal in ic.lambda_gamma_brackets)}
 
 
-def check_tangent_frame_brackets(ic: InducedCoframe,
-                                 frames: tuple[FrameField, FrameField] | None = None,
-                                 base_sf: StructureFunction | None = None) -> dict[str, bool]:
+def check_tangent_frame_brackets(ic: InducedCoframe) -> dict[str, bool]:
     """Bracket table of the induced frames: the lambda-lambda and
     theta-lambda brackets vanish and the theta-theta brackets reproduce
     the pulled-back structure function (with the bracket sign)."""
     n = ic.n
-    d_theta, d_lambda = frames or tangent_dual_frame(ic)
-    sf = base_sf or structure_function(ic.base)
+    d_theta, d_lambda = ic.frames
+    sf = ic.base.structure
     lift_map = list(range(n))
     results = {"lambda_lambda_brackets_vanish": True,
                "theta_lambda_brackets_vanish": True,
@@ -801,12 +803,12 @@ def verify_induced_structure(cf: Coframe) -> CheckReport:
     """Structure function of the induced pair: vanishes outside the
     theta-theta block and that block is the pullback of the base one."""
     n = cf.n
-    ic = induced_coframe(cf)
-    frames = tangent_dual_frame(ic)
+    ic = cf.induced
+    d_theta, d_lambda = ic.frames
     combined_dual = FrameField(ic.chart, tuple(
-        tuple(frames[0].matrix[s] + frames[1].matrix[s]) for s in range(2 * n)))
+        tuple(d_theta.matrix[s] + d_lambda.matrix[s]) for s in range(2 * n)))
     big = structure_function(ic.as_coframe(), dual=combined_dual)
-    base_sf = structure_function(cf)
+    base_sf = cf.structure
     lift_map = list(range(n))
     block_ok = True
     for (k, a, b) in big.components:

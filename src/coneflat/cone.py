@@ -18,9 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from coneflat import _modp, xi
-from coneflat.coframe import Chart, Coframe, draw_seeded, dual_frame, \
-    float_points, geodesic_flow, induced_coframe, sample_points, \
-    structure_function, tangent_dual_frame
+from coneflat.coframe import Chart, Coframe, draw_seeded, float_points, \
+    sample_points, tangent_dual_frame  # noqa: F401  (perfbench traces it here)
 from coneflat.funcfield import MultiPoly, PoleError, RatFunc, evaluate_reduced, \
     parse_poly
 
@@ -207,10 +206,9 @@ class ConeStructure:
                             f"hypersurface dimension {z.n}")
         self.coframe = coframe
         self.z = z
-        self.induced = induced_coframe(coframe)
+        self.induced = coframe.induced
         self.mu = self.induced.mu
         self.F = z.f.subst(list(self.mu))
-        self._structure = None
 
     @property
     def n(self) -> int:
@@ -221,9 +219,7 @@ class ConeStructure:
         return self.induced.chart
 
     def structure(self):
-        if self._structure is None:
-            self._structure = structure_function(self.coframe)
-        return self._structure
+        return self.coframe.structure
 
     def __repr__(self):
         return f"ConeStructure(n={self.n}, degree={self.z.degree})"
@@ -258,7 +254,7 @@ def sample_cone(cs: ConeStructure, count: int, seed, field=None) -> list[tuple[t
     if field is None:
         field = xi.DEFAULT_PRIMES[0]
     n = cs.n
-    frame = dual_frame(cs.coframe)
+    frame = cs.coframe.dual
     if field == "float":
         return _sample_cone_float(cs, frame, count, seed)
     p = int(field)
@@ -377,8 +373,7 @@ def geodesic_tangency_check(cs: ConeStructure) -> TangencyReport:
     frame.  A nonzero result would mean a broken induced coframe, so the
     offending function is included in the report.
     """
-    gamma = geodesic_flow(cs.induced)
-    gamma_f = gamma.apply(cs.F)
+    gamma_f = cs.induced.gamma.apply(cs.F)
     ok = gamma_f.is_zero()
     details = {}
     if not ok:
@@ -387,23 +382,19 @@ def geodesic_tangency_check(cs: ConeStructure) -> TangencyReport:
 
 
 def _double_bracket_fields(cs: ConeStructure):
-    """The n vector fields [[(D_lambda)_a, gamma], gamma] and gamma itself."""
-    frames = tangent_dual_frame(cs.induced)
-    gamma = geodesic_flow(cs.induced, frames)
-    d_theta, d_lambda = frames
+    """The n vector fields [[(D_lambda)_a, gamma], gamma]."""
+    ic = cs.induced
     fields = []
-    for a in range(cs.n):
-        first = d_lambda.vector(a).bracket(gamma)
+    for a, (first, equals_dtheta) in enumerate(ic.lambda_gamma_brackets):
         # Without a full multivariate gcd the bracket components come out
         # unreduced, and the second bracket drags those numerators along
         # at ~10x the cost.  The field equals (D_theta)_a, whose stored
-        # form is small; swap representations only after checking the
-        # equality exactly, so a broken bracket still fails downstream.
-        hint = d_theta.vector(a)
-        if all(f == h for f, h in zip(first.components, hint.components)):
-            first = hint
-        fields.append(first.bracket(gamma))
-    return fields, gamma
+        # form is small; swap representations only after the exact
+        # comparison, so a broken bracket still fails downstream.
+        if equals_dtheta:
+            first = ic.frames[0].vector(a)
+        fields.append(first.bracket(ic.gamma))
+    return fields
 
 
 def _bracket_identity_symbolic(cs: ConeStructure, db_fields) -> bool:
@@ -444,7 +435,7 @@ def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0,
     tolerance.
     """
     n = cs.n
-    db_fields, _ = _double_bracket_fields(cs)
+    db_fields = _double_bracket_fields(cs)
     identity_exact = _bracket_identity_symbolic(cs, db_fields)
     struct = cs.structure()
     report = BracketReport(verdict=identity_exact, mode=mode,
@@ -459,7 +450,7 @@ def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0,
             try:
                 u = [m.evaluate_mod(point, p) for m in cs.mu]
                 gradu = [g.evaluate_mod(list(u), p) for g in cs.z.gradient()]
-                kernel = _modp.kernel_mod([gradu], n, p)
+                kernel = _modp.kernel_of_row_mod(gradu, p)
                 v = kernel[idx % len(kernel)]
                 lhs = _bracket_lhs_mod(cs, db_fields, point, v, p)
                 cvals = {key: val.evaluate_mod(list(x), p)

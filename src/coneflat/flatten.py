@@ -28,7 +28,6 @@ from coneflat.coframe import (
     exterior_derivative,
     float_points,
     sample_points,
-    structure_function,
 )
 from coneflat.cone import ConeStructure, characteristic_check, sample_cone
 from coneflat.funcfield import PoleError, RatFunc
@@ -91,7 +90,7 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
     if not w.components:
         return ClosednessVerdict("closed", xi=tuple([zero] * n),
                                  one_form=tuple([zero] * n))
-    struct = structure_function(cf)
+    struct = cf.structure
     xi_row = struct.trace_covector()
     s = _sharp(cf, xi_row)
     identity_holds = True

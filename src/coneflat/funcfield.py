@@ -15,13 +15,14 @@ function, so objects may be shared freely between threads.
 from __future__ import annotations
 
 import ast
+import functools
 import heapq
 import math
 import operator
 import os
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # The scalar field: arbitrary-precision rationals from the stdlib.
 Rational = Fraction
@@ -189,7 +190,9 @@ class MultiPoly:
         return self
 
     @staticmethod
+    @functools.cache
     def zero(nvars: int) -> MultiPoly:
+        """The shared 0 in nvars variables (polynomials are never mutated)."""
         return MultiPoly._make(nvars, {})
 
     @staticmethod
@@ -198,11 +201,15 @@ class MultiPoly:
             value = Fraction(value)
         if value == 0:
             return MultiPoly.zero(nvars)
+        if value == 1:
+            return MultiPoly.one(nvars)
         return MultiPoly._make(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 
     @staticmethod
+    @functools.cache
     def one(nvars: int) -> MultiPoly:
-        return MultiPoly.const(nvars, 1)
+        """The shared 1 in nvars variables (polynomials are never mutated)."""
+        return MultiPoly._make(nvars, {(0,) * nvars: 1})
 
     @staticmethod
     def var(nvars: int, index: int) -> MultiPoly:
@@ -665,10 +672,6 @@ class RatFunc:
     def var(nvars: int, index: int) -> RatFunc:
         return RatFunc(MultiPoly.var(nvars, index))
 
-    @staticmethod
-    def from_poly(p: MultiPoly) -> RatFunc:
-        return RatFunc(p)
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
@@ -983,17 +986,6 @@ def _original_offset(offsets: list[int], new_offset: int) -> int:
     if not offsets:
         return 0
     return offsets[min(max(new_offset, 0), len(offsets) - 1)]
-
-
-def format_fraction(value: Fraction) -> str:
-    return _fraction_str(value)
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid rational literal {text!r}: {exc}") from None
 
 
 def reduce_mod_prime(p: MultiPoly, prime: int) -> dict[Exponent, int]:

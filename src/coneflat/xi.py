@@ -163,13 +163,6 @@ class HomTensor:
         if self.n != other.n or self.field != other.field:
             raise XiError("tensor field or dimension mismatch")
 
-    def norm_squared(self):
-        if isinstance(self.field, int):
-            raise XiError("no norm over a prime field")
-        if self.field == "rational":
-            return sum((v * v for v in self.c.values()), Fraction(0))
-        return float(sum(abs(v) ** 2 for v in self.c.values()))
-
     def __repr__(self):
         return f"HomTensor(n={self.n}, field={self.field}, nonzero={len(self.c)})"
 
@@ -522,7 +515,7 @@ def assemble_xiZ_constraints(z, count: int, seed, fieldtag) -> ConstraintBatch:
     if isinstance(fieldtag, int):
         p = fieldtag
         for u, grad in sample_variety_points_modp(z, p, count, seed):
-            for v in _modp.kernel_mod([list(grad)], n, p):
+            for v in _modp.kernel_of_row_mod(grad, p):
                 row = []
                 wedge = {}
                 for (i, j) in pair_list(n):
@@ -657,7 +650,7 @@ def tangent_lines_nondegenerate(z, config: XiConfig | None = None) -> tuple[bool
     rows = []
     for u, grad in sample_variety_points_modp(z, p, max(config.samples, 2 * len(pairs)),
                                               f"{config.seed}:w"):
-        for v in _modp.kernel_mod([list(grad)], n, p):
+        for v in _modp.kernel_of_row_mod(grad, p):
             rows.append([(u[i] * v[j] - u[j] * v[i]) % p for (i, j) in pairs])
     rank = _modp.rank_mod(rows, p)
     return rank == len(pairs), rank

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from coneflat._modp import (
     is_probable_prime,
     kernel_mod,
+    kernel_of_row_mod,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -221,3 +222,14 @@ def test_rref_of_reduced_rows_and_batch_equals_rref_of_all_rows(p, ncols, a, b):
     b = [row[:ncols] for row in b]
     reduced, _ = rref_mod(a, p)
     assert rref_mod(reduced + b, p) == rref_mod(a + b, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 101) + DEFAULT_PRIMES), st.integers(0, 6), st.data())
+def test_kernel_of_row_equals_kernel_mod(p, zeros, data):
+    entry = st.one_of(st.integers(-5, 5), st.integers(-2**62, 2**62),
+                      st.sampled_from([p, -p, 2 * p]))
+    row = [0] * zeros + data.draw(st.lists(entry, max_size=6))
+    if not row:
+        row = [0]
+    assert kernel_of_row_mod(row, p) == kernel_mod([row], len(row), p)
