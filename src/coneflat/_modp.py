@@ -3,9 +3,9 @@
 ``row_reduce`` is the one Gauss-Jordan elimination of the package: it
 reduces over GF(p) when given a prime, and otherwise with the entries'
 own field operations, which covers ``Fraction`` and ``RatFunc``
-matrices.  Every GF(p) elimination enters through ``rref_mod``; the
-kernel of a single row (a tangent space of a cone point) is written down
-directly by ``kernel_of_row_mod``.
+matrices; ``rank`` and ``determinant`` run only its forward pass.  GF(p)
+echelon forms enter through ``rref_mod``; the kernel of a single row (a
+tangent space of a cone point) is written down by ``kernel_of_row_mod``.
 Each pivot step touches only the columns from the pivot column on: left
 of it the pivot row is already zero.  Prime-field values are plain
 Python ints reduced mod p, so there is no overflow concern for
@@ -160,8 +160,14 @@ def rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], li
     return row_reduce(rows, p)
 
 
-def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref_mod(rows, p)[1])
+def rank(rows: Sequence[Sequence], p: int | None = None) -> int:
+    """Rank over GF(p), or over the entries' own field when p is None,
+    by the forward elimination pass only."""
+    mat = [[c % p for c in row] if p else list(row) for row in rows]
+    return len(_eliminate(mat, p, below_only=True)[0])
+
+
+rank_mod = rank
 
 
 def kernel_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:

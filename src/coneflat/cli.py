@@ -248,8 +248,11 @@ def cmd_xi(args) -> RunReport:
     cfgx = _xi_config(args)
     report = RunReport("xi", _echo(args))
     t0 = time.perf_counter()
-    smooth = smooth_check(z)
-    report.add("smooth_check", smooth.verdict != "singular",
+    try:
+        smooth = smooth_check(z)
+    except ConeError as exc:
+        raise ConfigError(str(exc)) from exc
+    report.add("smooth_check", smooth.verdict == "smooth",
                verdict=smooth.verdict, witness=smooth.witness)
     if smooth.verdict == "singular":
         return report

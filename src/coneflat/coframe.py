@@ -128,14 +128,13 @@ def sample_points(chart: Chart, count: int, seed, avoid: Sequence[MultiPoly] = (
 
 
 def float_points(chart: Chart, count: int, seed,
-                 avoid: Sequence[MultiPoly] = (), box: float = 0.8,
-                 min_abs: float = 1e-6) -> list[tuple[float, ...]]:
+                 avoid: Sequence[MultiPoly] = ()) -> list[tuple[float, ...]]:
     """Float sample points in a box around the base point, poles rejected."""
     base = [float(v) for v in chart.base_point]
 
     def draw(rng):
-        candidate = tuple(b + rng.uniform(-box, box) for b in base)
-        if any(abs(p.evaluate(candidate)) < min_abs for p in avoid):
+        candidate = tuple(b + rng.uniform(-0.8, 0.8) for b in base)
+        if any(abs(p.evaluate(candidate)) < 1e-6 for p in avoid):
             return None
         return candidate
 

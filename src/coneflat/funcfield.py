@@ -725,7 +725,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        # (-num, den) of a canonical pair is canonical: skip _canonical_pair
+        out = object.__new__(RatFunc)
+        out.num, out.den, out._diff_cache = -self.num, self.den, None
+        return out
 
     def __sub__(self, other) -> RatFunc:
         return self + (-self._coerce(other))
@@ -986,8 +989,3 @@ def _original_offset(offsets: list[int], new_offset: int) -> int:
     if not offsets:
         return 0
     return offsets[min(max(new_offset, 0), len(offsets) - 1)]
-
-
-def reduce_mod_prime(p: MultiPoly, prime: int) -> dict[Exponent, int]:
-    """Module-level alias for MultiPoly.reduce_mod_prime."""
-    return p.reduce_mod_prime(prime)

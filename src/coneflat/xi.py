@@ -24,6 +24,8 @@ from coneflat.funcfield import MultiPoly, RatFunc, _fraction_mod, evaluate_reduc
 from coneflat.coframe import Coframe, draw_seeded
 
 DEFAULT_PRIMES = (2147483647, 2147483629)
+# sample doublings after the first batch before xi_Z reports an unstable kernel
+MAX_DOUBLINGS = 3
 
 
 class XiError(ValueError):
@@ -69,10 +71,6 @@ class HomTensor:
                 continue
             clean[(k, i, j)] = val
         self.c = clean
-
-    @staticmethod
-    def zero(n: int, fieldtag="rational") -> HomTensor:
-        return HomTensor(n, {}, fieldtag)
 
     @staticmethod
     def from_coordinates(n: int, vec: Sequence, fieldtag="rational") -> HomTensor:
@@ -149,9 +147,6 @@ class HomTensor:
             if not _is_zero_scalar(s, self.field):
                 out[key] = s
         return HomTensor(self.n, out, self.field)
-
-    def __sub__(self, other: HomTensor) -> HomTensor:
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         if not isinstance(other, HomTensor):
@@ -420,8 +415,7 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
                        f"found {{found}} of {{count}} cone points mod {p} after {{limit}} tries")
 
 
-def sample_variety_points_complex(z, count: int, seed,
-                                  polish: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
+def sample_variety_points_complex(z, count: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
     """Complex cone points with gradients, |f(u)| polished below 1e-12.
 
     The float backend works over the complex numbers: real points of a
@@ -449,14 +443,13 @@ def sample_variety_points_complex(z, count: int, seed,
         if not roots:
             return None
         t = roots[rng.randrange(len(roots))]
-        if polish:
-            dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-            for _ in range(2):
-                fval = sum(c * t ** k for k, c in enumerate(coeffs))
-                dval = sum(c * t ** k for k, c in enumerate(dcoeffs))
-                if abs(dval) < 1e-14:
-                    break
-                t = t - fval / dval
+        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+        for _ in range(2):
+            fval = sum(c * t ** k for k, c in enumerate(coeffs))
+            dval = sum(c * t ** k for k, c in enumerate(dcoeffs))
+            if abs(dval) < 1e-14:
+                break
+            t = t - fval / dval
         u = np.array(vals, dtype=complex)
         u[free] = t
         norm = np.linalg.norm(u)
@@ -485,9 +478,6 @@ class ConstraintBatch:
     rows: list
     provenance: list = field(default_factory=list)
 
-    def matrix(self):
-        return self.rows
-
 
 @dataclass
 class XiConfig:
@@ -496,7 +486,6 @@ class XiConfig:
     samples: int = 50
     seed: object = 0
     tol: float = 1e-8
-    max_doublings: int = 3
 
     def __post_init__(self):
         for p in self.primes:
@@ -564,7 +553,7 @@ def _kernel_dim_stabilized(z, p: int, config: XiConfig):
         dim = len(basis)
         if prev_dim is not None and dim == prev_dim:
             return basis, dim, used, True, reduced
-        if stage >= config.max_doublings:
+        if stage >= MAX_DOUBLINGS:
             return basis, dim, used, prev_dim == dim, reduced
         prev_dim = dim
         stage += 1

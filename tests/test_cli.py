@@ -96,6 +96,27 @@ def test_xi_command_reports_dimensions(capsys):
     assert xiz["dim"] == 3 and xiz["equal_dims"] and xiz["stable"]
 
 
+def test_xi_command_rejects_irrationally_singular_variety(capsys, tmp_path):
+    # singular only at (+-sqrt(3) : 1 : 0)
+    path = tmp_path / "singular.variety.json"
+    path.write_text(json.dumps({"n": 3, "degree": 4,
+                                "f": "(x1^2-3*x2^2)^2 + x3^4 + x1*x3^3"}))
+    code, report = run_json(capsys, "xi", "--variety", str(path), "--seed", "2")
+    assert code == EXIT_REJECTED
+    (check,) = report["checks"]
+    assert check["name"] == "smooth_check" and not check["passed"]
+    assert check["details"] == {"verdict": "singular", "witness": None}
+
+
+def test_xi_command_rejects_variety_above_smoothness_bound(capsys, tmp_path):
+    path = tmp_path / "quartic5.variety.json"
+    path.write_text(json.dumps({"n": 5, "degree": 4,
+                                "f": "x1^4 + x2^4 + x3^4 + x4^4 + x5^4"}))
+    code = main(["xi", "--variety", str(path), "--seed", "2"])
+    assert code == EXIT_CONFIG
+    assert "2475 x 1365 Macaulay matrix" in capsys.readouterr().err
+
+
 def test_verify_identities_single_case(capsys):
     code, report = run_json(capsys, "verify-identities",
                             "--seed", "7", "--cases", "1")

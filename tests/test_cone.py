@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coneflat import cone, xi
 from coneflat.coframe import Chart, Coframe, random_polynomial_coframe
-from coneflat.funcfield import parse_poly, parse_ratfunc
+from coneflat.funcfield import MultiPoly, parse_poly, parse_ratfunc
 
 VARS3 = ["x1", "x2", "x3"]
 VARS6 = ["x1", "x2", "x3", "y1", "y2", "y3"]
@@ -83,7 +84,7 @@ def test_hypersurface_json_errors():
 def test_smooth_check_diagonal():
     report = cone.smooth_check(fermat())
     assert report.verdict == "smooth"
-    assert report.method == "diagonal"
+    assert report.method == "macaulay_rank"
 
 
 def test_smooth_check_diagonal_missing_variable():
@@ -98,7 +99,7 @@ def test_smooth_check_singular_with_lifted_witness():
     z = cone.Hypersurface(parse_poly("x1^2*x2", VARS3))
     report = cone.smooth_check(z)
     assert report.verdict == "singular"
-    assert report.method == "prime_search"
+    assert report.method == "macaulay_rank"
     w = report.witness
     assert w is not None and any(w)
     assert w[0] == 0  # the singular locus is the plane x1 = 0
@@ -111,8 +112,139 @@ def test_smooth_check_generic_quartic_by_search():
     z = cone.Hypersurface(parse_poly("x1^4 + x2^4 + x3^4 + x1^3*x2", VARS3))
     report = cone.smooth_check(z)
     assert report.verdict == "smooth"
-    assert report.method == "prime_search"
-    assert report.details["primes"] == [101, 103]
+    assert report.method == "macaulay_rank"
+    assert report.details["rank"] == report.details["columns"]
+
+
+# singular exactly at (+-sqrt(3) : 1 : 0), with no singular point over
+# GF(101) or GF(103) since 3 is a non-residue mod both
+IRRATIONAL_SINGULAR = "(x1^2-3*x2^2)^2 + x3^4 + x1*x3^3"
+
+
+def test_smooth_check_irrational_singular_points():
+    z = cone.Hypersurface(parse_poly(IRRATIONAL_SINGULAR, VARS3))
+    report = cone.smooth_check(z)
+    assert report.verdict == "singular"
+    assert report.witness is None
+    assert report.details["rank"] == 32 and report.details["columns"] == 36
+    with pytest.raises(cone.ConeError, match="no singular point"):
+        cone.adapted_cone(flat_coframe(), z)
+
+
+def test_smoothness_is_computed_once_and_read_only():
+    z = fermat()
+    report = z.smoothness
+    assert cone.smooth_check(z) is report
+    with pytest.raises(AttributeError):
+        z.smoothness = cone.SmoothnessReport("singular", "macaulay_rank")
+
+
+def test_smooth_check_bad_prime_decided_over_q():
+    # the x2 partial vanishes mod the sampling prime, so only the
+    # elimination over Q sees the full rank
+    z = cone.Hypersurface(parse_poly(f"x1^2 + {P1}*x2^2 + x3^2", VARS3))
+    report = cone.smooth_check(z)
+    assert report.verdict == "smooth"
+    assert report.details == {"rank": 3, "columns": 3, "field": "rational"}
+
+
+def test_smooth_check_short_rank_decided_over_q():
+    # singular only at (1 : 10^6 : 0), outside the witness box: the
+    # short rank mod p is confirmed over Q
+    z = cone.Hypersurface(parse_poly("(x2 - 1000000*x1)^2 + x3^2", VARS3))
+    report = cone.smooth_check(z)
+    assert report.verdict == "singular" and report.witness is None
+    assert report.details == {"rank": 2, "columns": 3, "field": "rational"}
+
+
+def test_smooth_check_rejects_matrix_above_size_bound():
+    z = cone.Hypersurface(parse_poly("x1^4 + x2^4 + x3^4 + x4^4 + x5^4",
+                                     [f"x{i + 1}" for i in range(5)]))
+    with pytest.raises(cone.ConeError, match="2475 x 1365 Macaulay matrix"):
+        cone.smooth_check(z)
+    with pytest.raises(cone.ConeError, match="2475 x 1365"):
+        cone.adapted_cone(flat_coframe(), z)
+
+
+def _form(n, coeffs):
+    return cone.Hypersurface(MultiPoly(n, {e: Fraction(c) for e, c in coeffs.items()}))
+
+
+@settings(max_examples=40, deadline=None)
+# (n, highest degree): n = 4 quintics are above smooth_check's size bound
+@given(st.sampled_from([(3, 5), (4, 4)]).flatmap(lambda nd: st.tuples(
+    st.integers(2, nd[1]),
+    st.lists(st.integers(-3, 3), min_size=nd[0], max_size=nd[0]))))
+def test_smooth_check_diagonal_forms(case):
+    d, a = case
+    assume(any(a))
+    n = len(a)
+    z = _form(n, {tuple(d if j == i else 0 for j in range(n)): c
+                  for i, c in enumerate(a)})
+    report = cone.smooth_check(z)
+    assert report.verdict == ("smooth" if all(a) else "singular")
+    if not all(a):
+        first = a.index(0)
+        assert report.witness == tuple(Fraction(int(j == first)) for j in range(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3)]).flatmap(
+    lambda nd: st.tuples(st.just(nd), st.lists(
+        st.integers(-3, 3), min_size=len(cone._monomials(*nd)),
+        max_size=len(cone._monomials(*nd))))))
+def test_smooth_check_planted_singular_point(case):
+    """No monomial of degree >= d - 1 in x_n: the gradient vanishes at
+    e_n, so the form is singular and its witness is a singular point."""
+    (n, d), values = case
+    coeffs = {e: c for e, c in zip(cone._monomials(n, d), values) if e[-1] <= d - 2}
+    assume(any(coeffs.values()))
+    z = _form(n, coeffs)
+    report = cone.smooth_check(z)
+    assert report.verdict == "singular"
+    assert report.details["rank"] < report.details["columns"]
+    assert report.witness is not None
+    assert all(g.evaluate(report.witness) == 0 for g in z.gradient())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.integers(-2, 2), min_size=len(cone._monomials(3, d)),
+                         max_size=len(cone._monomials(3, d))))))
+def test_smooth_check_agrees_with_groebner(case):
+    """Singular exactly when the partials and some x_i - 1 have a
+    common zero, that is, a reduced Groebner basis other than [1]."""
+    sympy = pytest.importorskip("sympy")
+    d, values = case
+    assume(any(values))
+    z = _form(3, dict(zip(cone._monomials(3, d), values)))
+    xs = sympy.symbols("x1:4")
+    f = sympy.sympify(z.f.to_string(VARS3).replace("^", "**"),
+                      locals=dict(zip(VARS3, xs)))
+    partials = [sympy.diff(f, x) for x in xs]
+    singular = any(list(sympy.groebner(partials + [x - 1], *xs, order="grevlex")) != [1]
+                   for x in xs)
+    assert cone.smooth_check(z).verdict == ("singular" if singular else "smooth")
+
+
+BENCHMARK_VARIETIES = [
+    (3, "x1^3 + x2^3 + x3^3"),
+    (3, "x1^4 + x2^4 + x3^4"),
+    (3, "x1^5 + x2^5 + x3^5"),
+    (4, "x1^3 + x2^3 + x3^3 + x4^3"),
+    (4, "x1^4 + x2^4 + x3^4 + x4^4"),
+    (5, "x1^3 + x2^3 + x3^3 + x4^3 + x5^3"),
+    (3, "x1^3*x2 + x2^3*x3 + x3^3*x1"),
+    (4, "x1^2 + x2^2 + x3^2 + x4^2"),
+]
+
+
+@pytest.mark.parametrize("n, text", BENCHMARK_VARIETIES)
+def test_benchmark_varieties_certify_smooth(n, text):
+    z = cone.Hypersurface(parse_poly(text, [f"x{i + 1}" for i in range(n)]))
+    report = cone.smooth_check(z)
+    assert report.verdict == "smooth"
+    assert report.details["rank"] == report.details["columns"]
 
 
 # ---------------------------------------------------------------------------

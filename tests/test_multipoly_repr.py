@@ -112,6 +112,32 @@ def test_every_operation_keeps_the_invariant(a, b, c, index):
         assert_canonical(r)
 
 
+small_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * N), st.integers(-3, 3),
+                              max_size=3).map(lambda t: MultiPoly(N, t))
+ratfunc_steps = st.lists(st.tuples(st.sampled_from("+-*/d"), small_polys,
+                                   st.integers(0, N - 1)), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_polys, ratfunc_steps)
+def test_negation_of_a_canonical_value_is_canonical(start, steps):
+    """RatFunc.__neg__ skips _canonical_pair: (-num, den) of a value
+    built by + - * / and diff must already be canonical."""
+    r = RatFunc(start)
+    for op, p, index in steps:
+        s = RatFunc(p)
+        if op == "/" and not s.is_zero():
+            r = r / s
+        elif op in "+-*":
+            r = r + s if op == "+" else r - s if op == "-" else r * s
+        elif op == "d":
+            r = r.diff(index)
+        assert _canonical_pair(-r.num, r.den) == (-r.num, r.den)
+        neg = -r
+        assert (neg.num, neg.den) == (-r.num, r.den)
+        assert (neg + r).is_zero()
+
+
 def test_equal_values_have_equal_representations():
     e = (1, 0, 2)
     half = MultiPoly(N, {e: Fraction(1, 2)})
