@@ -41,6 +41,7 @@ from coneflat.cone import (
     geodesic_tangency_check,
     hypersurface_from_json,
     hypersurface_to_json,
+    require_smooth,
     smooth_check,
 )
 from coneflat.funcfield import (
@@ -312,6 +313,10 @@ def cmd_verify_identities(args) -> RunReport:
     report = RunReport("verify-identities", _echo(args))
     t0 = time.perf_counter()
     z = (load_variety(args.variety) if args.variety else default_variety())
+    try:
+        require_smooth(z)
+    except ConeError as exc:
+        raise ConfigError(str(exc)) from exc
     chart = Chart.standard(3)
     cases = args.samples
     all_exact = True

@@ -219,6 +219,16 @@ class Coframe:
         self._structure: StructureFunction | None = None
         self._induced: weakref.ref | None = None
 
+    @classmethod
+    def _with_det(cls, chart: Chart, a: Matrix, det: RatFunc) -> Coframe:
+        """A coframe whose determinant is already known to be det, which
+        must be nonzero at the base point; no elimination runs."""
+        self = object.__new__(cls)
+        self.chart, self.a, self._det = chart, a, det
+        self._structure = None
+        self._induced = None
+        return self
+
     @property
     def n(self) -> int:
         return self.chart.n
@@ -603,7 +613,10 @@ class InducedCoframe:
         return self.base.n
 
     def as_coframe(self) -> Coframe:
-        return Coframe(self.chart, self.matrix)
+        """The induced pair as one coframe on the tangent chart.  Its
+        matrix is block lower triangular, [[A, 0], [E, A]], so its
+        determinant is det(A)^2, nonzero at the base point with A's."""
+        return Coframe._with_det(self.chart, self.matrix, self.lift(self.base.det) ** 2)
 
     def lift(self, h: RatFunc) -> RatFunc:
         """Pull a function on the base chart up to the tangent chart."""

@@ -227,18 +227,24 @@ class ConeStructure:
         return f"ConeStructure(n={self.n}, degree={self.z.degree})"
 
 
-def adapted_cone(cf: Coframe, z: Hypersurface) -> ConeStructure:
-    """Build the cone structure presented by an adapted coframe.
-
-    Z must be smooth (see smooth_check): a singular hypersurface is
-    rejected, with its witness when one was found.
-    """
+def require_smooth(z: Hypersurface) -> None:
+    """Raise ConeError unless Z is smooth (see smooth_check), naming the
+    witness of a singular Z when one was found."""
     report = z.smoothness
     if report.witness is not None:
         raise ConeError(f"hypersurface is singular at {report.witness}")
     if not report:
         raise ConeError(f"hypersurface is singular, with no singular point whose "
                         f"coordinates are integers of size <= {_WITNESS_BOUND}")
+
+
+def adapted_cone(cf: Coframe, z: Hypersurface) -> ConeStructure:
+    """Build the cone structure presented by an adapted coframe.
+
+    Z must be smooth: a singular hypersurface is rejected by
+    require_smooth.
+    """
+    require_smooth(z)
     return ConeStructure(cf, z)
 
 
@@ -390,11 +396,11 @@ def _double_bracket_fields(cs: ConeStructure):
     ic = cs.induced
     fields = []
     for a, (first, equals_dtheta) in enumerate(ic.lambda_gamma_brackets):
-        # Without a full multivariate gcd the bracket components come out
-        # unreduced, and the second bracket drags those numerators along
-        # at ~10x the cost.  The field equals (D_theta)_a, whose stored
-        # form is small; swap representations only after the exact
-        # comparison, so a broken bracket still fails downstream.
+        # Once proved equal, the bracket and (D_theta)_a are the same
+        # reduced value, but the stored (D_theta)_a already carries the
+        # derivatives memoised by earlier brackets, which the second
+        # bracket reuses.  A broken bracket keeps its own value and still
+        # fails downstream.
         if equals_dtheta:
             first = ic.frames[0].vector(a)
         fields.append(first.bracket(ic.gamma))
@@ -436,7 +442,8 @@ def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0,
     The same identity is also verified once as rational functions
     (identity_exact).  Exact mode evaluates over a prime field on exact
     cone points; float mode uses complex samples and a relative
-    tolerance.
+    tolerance.  An exact sample that meets a pole is dropped and counted
+    in details["pole_drops"].
     """
     n = cs.n
     db_fields = _double_bracket_fields(cs)
@@ -449,6 +456,7 @@ def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0,
         p = prime or xi.DEFAULT_PRIMES[0]
         pts = sample_cone(cs, samples, f"{seed}:db", p)
         residuals = []
+        report.details["pole_drops"] = 0
         for idx, (x, y) in enumerate(pts):
             point = list(x) + list(y)
             try:
@@ -462,6 +470,7 @@ def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0,
                 tensor = xi.HomTensor(n, cvals, p)
                 rhs = tensor.apply(u, v)
             except PoleError:
+                report.details["pole_drops"] += 1
                 continue
             res = max((a - b) % p for a, b in zip(lhs, rhs)) if lhs != rhs else 0
             residuals.append(0 if lhs == rhs else 1)

@@ -4,8 +4,13 @@ A polynomial is stored sparsely as a dict mapping exponent tuples to
 nonzero int coefficients, over one positive common denominator that
 shares no factor with all of them; the zero polynomial has an empty map
 and denominator 1.  This representation is unique, and the arithmetic
-runs on ints.  A rational function is a reduced pair of polynomials.
-All arithmetic is exact, so identity checks done with this module are
+runs on ints.  A rational function is kept in its one reduced form: a
+numerator over a product of powers of pairwise coprime, squarefree base
+factors, cancelled by trial division (each whole multiplicity in one
+exact division, after a prime-field probe that can only reject) and by
+exact gcds over Z[x] (GCDHEU, with a primitive remainder sequence as the
+fallback).  So equality and hashing compare representations.  All
+arithmetic is exact, so identity checks done with this module are
 proofs on the chart, not numerical evidence.
 
 Values are immutable after construction and every operation is a pure
@@ -616,65 +621,522 @@ def evaluate_reduced(table: dict[Exponent, int], point: Sequence[int], prime: in
     return total
 
 
-def _univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of dense univariate rational-coefficient polynomials."""
+# ---------------------------------------------------------------------------
+# gcd over Z[x]
+# ---------------------------------------------------------------------------
 
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = strip(list(a)), strip(list(b))
-    while b:
-        # a mod b
-        r = list(a)
-        db, lb = len(b) - 1, b[-1]
-        while len(r) - 1 >= db and strip(r):
-            dr, lr = len(r) - 1, r[-1]
-            q = lr / lb
-            for i, c in enumerate(b):
-                r[dr - db + i] -= q * c
-            strip(r)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _primitive(p: MultiPoly) -> tuple[Fraction, MultiPoly]:
+    """(unit, q) with p = unit * q, q integer-primitive with a positive
+    graded-lex lead; p must be nonzero."""
+    coeffs = p.coeffs
+    content = math.gcd(*coeffs.values())
+    if coeffs[max(coeffs, key=_grlex_key)] < 0:
+        content = -content
+    if content == 1:
+        return Fraction(1, p.den), (p if p.den == 1 else MultiPoly._make(p.nvars, coeffs))
+    return Fraction(content, p.den), MultiPoly._make(
+        p.nvars, {e: c // content for e, c in coeffs.items()})
 
 
-class RatFunc:
-    """Rational function num/den with lightweight canonicalization.
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The gcd of a and b in Q[x], integer-primitive with a positive
+    graded-lex lead (the zero polynomial when both are zero).
 
-    The denominator is kept integer-primitive with positive leading
-    coefficient (graded-lex order).  Common monomial factors, exact
-    polynomial divisibility and same-variable univariate gcds are
-    cancelled; full multivariate gcd is deliberately not attempted, so
-    equality testing falls back on cross-multiplication.
+    GCDHEU (Char, Geddes & Gonnet 1989) proposes the gcd and exact
+    division checks it; when six evaluation points fail, a primitive
+    polynomial remainder sequence decides.  Both are exact, so the
+    result never depends on which of them answered.
+    """
+    if a.is_zero() or b.is_zero():
+        return b if a.is_zero() and b.is_zero() else _primitive(b if a.is_zero() else a)[1]
+    if a.is_constant() or b.is_constant():
+        return MultiPoly.one(a.nvars)
+    a, b = _primitive(a)[1], _primitive(b)[1]
+    if a == b:
+        return a
+    g = _heu_gcd(a, b)
+    return _primitive(g if g is not None else _prs_gcd(a, b))[1]
+
+
+def _variables(p: MultiPoly) -> frozenset[int]:
+    return frozenset(i for exp in p.coeffs for i, k in enumerate(exp) if k)
+
+
+def _present_variable(*polys: MultiPoly) -> int | None:
+    """The first variable that occurs in one of polys."""
+    for i in range(polys[0].nvars):
+        if any(exp[i] for p in polys for exp in p.coeffs):
+            return i
+    return None
+
+
+def _heu_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
+    """gcd(f, g) in Z[x] for nonzero integer polynomials, up to sign, or
+    None when six evaluation points all fail.
+
+    Evaluating the first variable present at an integer xi gives the
+    gcd of the images by recursion (an integer gcd at the bottom); its
+    balanced xi-adic expansion is the candidate.  With xi > 1 + 2 *
+    min(|f|, |g|) (max norms) the primitive part of the candidate is the
+    gcd exactly when it divides both f and g (Char, Geddes & Gonnet
+    1989), and exact division checks that.
+    """
+    cont = math.gcd(*f.coeffs.values(), *g.coeffs.values())
+    var = _present_variable(f, g)
+    if var is None:
+        return MultiPoly.const(f.nvars, cont)
+    f, g = f._times(1, cont), g._times(1, cont)     # integer: cont divides every coefficient
+    xi = 2 * min(max(map(abs, f.coeffs.values())), max(map(abs, g.coeffs.values()))) + 29
+    for _ in range(6):
+        ff, gg = _eval_at(f, var, xi), _eval_at(g, var, xi)
+        if not ff.is_zero() and not gg.is_zero():
+            h = _heu_gcd(ff, gg)
+            if h is not None:
+                h = _primitive(_xi_adic(h, var, xi))[1]
+                if f.divide_exact(h) is not None and g.divide_exact(h) is not None:
+                    return h._times(cont, 1)
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _eval_at(f: MultiPoly, var: int, xi: int) -> MultiPoly:
+    """f with variable var set to the integer xi."""
+    out: dict[Exponent, int] = {}
+    for exp, c in f.coeffs.items():
+        k = exp[var]
+        if k:
+            exp = exp[:var] + (0,) + exp[var + 1:]
+            c *= xi ** k
+        out[exp] = out.get(exp, 0) + c
+    return MultiPoly._make(f.nvars, {e: c for e, c in out.items() if c})
+
+
+def _xi_adic(h: MultiPoly, var: int, xi: int) -> MultiPoly:
+    """The polynomial in var whose value at xi is h, read off the
+    balanced base-xi digits of each coefficient of h (free of var)."""
+    out: dict[Exponent, int] = {}
+    half = xi // 2
+    for exp, c in h.coeffs.items():
+        k = 0
+        while c:
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[exp[:var] + (k,) + exp[var + 1:]] = digit
+            c = (c - digit) // xi
+            k += 1
+    return MultiPoly._make(h.nvars, out)
+
+
+def _coefficients_in(f: MultiPoly, var: int) -> dict[int, MultiPoly]:
+    """f as a polynomial in var: degree -> coefficient (free of var)."""
+    parts: dict[int, dict[Exponent, int]] = {}
+    for exp, c in f.coeffs.items():
+        parts.setdefault(exp[var], {})[exp[:var] + (0,) + exp[var + 1:]] = c
+    return {k: MultiPoly._make(f.nvars, t, f.den) for k, t in parts.items()}
+
+
+def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """gcd(f, g) in Q[x] by a primitive polynomial remainder sequence in
+    one variable, contents by recursion on fewer variables."""
+    var = _present_variable(f, g)
+    if var is None:
+        return MultiPoly.one(f.nvars)
+
+    def content(p: MultiPoly) -> MultiPoly:
+        out = MultiPoly.zero(p.nvars)
+        for c in _coefficients_in(p, var).values():
+            out = poly_gcd(out, c)
+            if out.is_constant():
+                break
+        return out
+
+    cf, cg = content(f), content(g)
+    common = poly_gcd(cf, cg)
+    f, g = f.divide_exact(cf), g.divide_exact(cg)
+    if f.degree_in(var) < g.degree_in(var):
+        f, g = g, f
+    while g.degree_in(var) > 0:
+        r = _pseudo_remainder(f, g, var)
+        if r.is_zero():
+            return common * g
+        f, g = g, r.divide_exact(content(r))
+    # g is a nonzero constant: the primitive parts are coprime
+    return common
+
+
+def _pseudo_remainder(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
+    """A remainder of lead(g)^k * f on division by g in var."""
+    dg = g.degree_in(var)
+    lg = _coefficients_in(g, var)[dg]
+    shift = [0] * f.nvars
+    while not f.is_zero() and f.degree_in(var) >= dg:
+        df = f.degree_in(var)
+        shift[var] = df - dg
+        lf = _coefficients_in(f, var)[df]
+        monomial = MultiPoly._make(f.nvars, {tuple(shift): 1})
+        f = f * lg - lf * monomial * g
+    return f
+
+
+# ---------------------------------------------------------------------------
+# the factor base of denominators
+# ---------------------------------------------------------------------------
+
+# the prime of the cancellation probe (see _vanishing_order)
+_PROBE_PRIME = 2 ** 31 - 1
+
+
+class _Factor:
+    """A base factor of a denominator: a non-constant, squarefree,
+    integer-primitive polynomial with a positive graded-lex lead.
+
+    linear is a variable in which the polynomial has degree 1 with a
+    coefficient coprime to the rest, which proves it irreducible, or
+    None.  probe is a zero of the polynomial over GF(_PROBE_PRIME), or
+    None (see _vanishing_order).
+
+    A factor is shared by every value derived from the one that
+    introduced it, and memoises its powers and lifts for them; the memos
+    live as long as the factor, so no state outlives the values that use
+    it and repeated computations repeat the same work.
     """
 
-    __slots__ = ("num", "den", "_diff_cache")
+    __slots__ = ("poly", "variables", "linear", "probe", "_powers", "_lifts")
+
+    def __init__(self, poly: MultiPoly):
+        self.poly = poly
+        self.variables = _variables(poly)
+        self.linear = _linear_variable(poly)
+        self.probe = None if self.linear is None else _probe_point(poly, self.linear)
+        self._powers = {1: poly}
+        self._lifts = {}
+
+    def power(self, k: int) -> MultiPoly:
+        out = self._powers.get(k)
+        if out is None:
+            out = self._powers[k] = self.poly ** k
+        return out
+
+    def lift(self, nvars_new: int, var_map: Sequence[int]) -> tuple[_Factor, bool]:
+        """The factor re-embedded by MultiPoly.lift, made positive-lead
+        again, and whether that flipped its sign."""
+        key = (nvars_new, tuple(var_map))
+        out = self._lifts.get(key)
+        if out is None:
+            unit, q = _primitive(self.poly.lift(nvars_new, var_map))
+            out = self._lifts[key] = (_Factor(q), unit < 0)
+        return out
+
+    def __repr__(self):
+        return f"_Factor({self.poly.to_string()})"
+
+
+# a denominator: (base factor, positive exponent) pairs over a coprime base
+Factors = tuple[tuple[_Factor, int], ...]
+
+
+def _expand(factors: Factors) -> MultiPoly:
+    """The product of the factor powers (nonempty)."""
+    out = None
+    for f, e in factors:
+        term = f.power(e)
+        out = term if out is None else out * term
+    return out
+
+
+def _linear_variable(poly: MultiPoly) -> int | None:
+    """A variable in which poly has degree 1 and whose coefficient is
+    coprime to the rest of poly, or None.  For an integer-primitive poly
+    that proves it irreducible: in a factorisation one factor is free of
+    that variable and so divides both parts."""
+    degrees = [max(k) for k in zip(*poly.coeffs)]
+    candidates = [i for i, d in enumerate(degrees) if d == 1]
+    split = {i: _coefficients_in(poly, i) for i in candidates}
+    for i in candidates:
+        if split[i][1].is_constant():
+            return i
+    for i in candidates:
+        rest = split[i].get(0, MultiPoly.zero(poly.nvars))
+        if poly_gcd(split[i][1], rest).is_constant():
+            return i
+    return None
+
+
+def _probe_point(poly: MultiPoly, var: int) -> list[int] | None:
+    """A zero of poly over GF(_PROBE_PRIME): fixed values for the other
+    variables, solved for var, in which poly has degree 1.  None when
+    the coefficient of var vanishes at each of the values tried."""
+    p = _PROBE_PRIME
+    parts = _coefficients_in(poly, var)
+    coeff, rest = parts[1], parts.get(0, MultiPoly.zero(poly.nvars))
+    for attempt in range(4):
+        point = [pow(1_000_003 * (i + 1) + 7_919 * attempt, 3, p) for i in range(poly.nvars)]
+        a = evaluate_reduced(coeff.coeffs, point, p)
+        if a:
+            point[var] = -evaluate_reduced(rest.coeffs, point, p) * pow(a, -1, p) % p
+            return point
+    return None
+
+
+def _vanishing_order(num: MultiPoly, f: _Factor, cap: int) -> int:
+    """An upper bound, at most cap, on the multiplicity of f in num.
+
+    f = a * x_v + r with a free of x_v; its probe point P has f(P) = 0
+    and a(P) != 0 mod p.  On the line P + t e_v, f is a(P) t, so f^m | N
+    in Z[x] (N the integer numerator of num; Gauss's lemma, f primitive)
+    makes N vanish to order m at t = 0 mod p.  The order found is
+    therefore at least the multiplicity; it exceeds it only at points
+    special to num.  Order 0 proves that f does not divide num.
+    """
+    if cap <= 0:
+        return 0
+    var, point = f.linear, f.probe
+    p = _PROBE_PRIME
+    # tables[i][k] = point[i]^k mod p, with ones in the column of x_v, so
+    # one product per term gives its coefficient of s^(exp[v]) on the line
+    tables = []
+    for i, top in enumerate(map(max, zip(*num.coeffs))):
+        value = 1 if i == var else point[i]
+        row = [1] * (top + 1)
+        for k in range(1, top + 1):
+            row[k] = row[k - 1] * value % p
+        tables.append(row)
+    line = [0] * len(tables[var])
+    getitem = operator.getitem
+    for exp, c in num.coeffs.items():
+        line[exp[var]] += c * math.prod(map(getitem, tables, exp))
+    coeffs = [c % p for c in line]
+    v0 = point[var]
+    order = 0
+    while order < cap:
+        # divide by (s - v0): Horner's values are the quotient, then q(v0)
+        acc, quotient = 0, []
+        for c in reversed(coeffs):
+            acc = (acc * v0 + c) % p
+            quotient.append(acc)
+        if quotient.pop():
+            break
+        coeffs = quotient[::-1]
+        order += 1
+    return order
+
+
+def _divide_out(num: MultiPoly, f: _Factor, cap: int) -> tuple[int, MultiPoly]:
+    """(m, num / f^m) for the largest m <= cap with f^m | num; f must be
+    irreducible (f.linear set).  The whole multiplicity is divided in
+    one exact division."""
+    if f.probe is not None:
+        m = _vanishing_order(num, f, cap)
+        while m:
+            q = num.divide_exact(f.power(m))
+            if q is not None:
+                return m, q
+            m -= 1      # the probe point was special to num
+        return 0, num
+    m = 0
+    while m < cap:
+        q = num.divide_exact(f.poly)
+        if q is None:
+            break
+        num, m = q, m + 1
+    return m, num
+
+
+def _common_factor(f: _Factor, g: _Factor) -> MultiPoly | None:
+    """gcd(f, g) when it is not constant, else None."""
+    if f is g or f.poly == g.poly:
+        return f.poly
+    if f.linear is not None and g.linear is not None or not f.variables & g.variables:
+        return None     # distinct primitive irreducibles, or no variable in common
+    h = poly_gcd(f.poly, g.poly)
+    return None if h.is_constant() else h
+
+
+def _cancel(num: MultiPoly, factors: Factors) -> tuple[MultiPoly, Factors]:
+    """Divide num and the product of factors by their gcd.  Returns the
+    same factors object when nothing cancels."""
+    if num.is_constant():
+        return num, factors
+    out = []
+    changed = False
+    for f, e in factors:
+        if f.linear is not None:
+            m, num = _divide_out(num, f, e)
+            if m:
+                changed = True
+            if e > m:
+                out.append((f, e - m))
+            continue
+        # a factor not proved irreducible: split it by gcds with num
+        pending = [(f, e)]
+        while pending:
+            g, k = pending.pop()
+            h = poly_gcd(num, g.poly)
+            if h.is_constant():
+                out.append((g, k))
+                continue
+            changed = True
+            num = num.divide_exact(h)
+            rest = g.poly.divide_exact(h)
+            if not rest.is_constant():
+                # rest is coprime to num: gcd(num, g) was all of h, and g is squarefree
+                out.append((_Factor(rest), k))
+            if k > 1:
+                pending.append((_Factor(h), k - 1))
+    return num, (tuple(out) if changed else factors)
+
+
+def _merge(fa: Factors, fb: Factors) -> list[list]:
+    """Refine the bases of fa and fb into one coprime base (Bach,
+    Driscoll & Shallit 1993): rows [factor, exponent in fa, exponent
+    in fb].  Each side must be pairwise coprime and squarefree; then one
+    gcd h of f and g splits them into the coprime pieces h, f/h, g/h."""
+    rows = [[f, e, 0] for f, e in fa]
+    for g, eb in fb:
+        for row in rows[:len(rows)]:
+            if row[2] or row[1] == 0:
+                continue    # a piece of an earlier fb base: coprime to g
+            f = row[0]
+            h = _common_factor(f, g)
+            if h is None:
+                continue
+            row[2] = eb
+            if h != f.poly:
+                row[0] = _Factor(h)
+                rows.append([_Factor(f.poly.divide_exact(h)), row[1], 0])
+            if h == g.poly:
+                g = None
+                break
+            g = _Factor(g.poly.divide_exact(h))
+        if g is not None:
+            rows.append([g, 0, eb])
+    return rows
+
+
+def _new_factors(c: MultiPoly, present: Factors) -> tuple[Fraction, Factors]:
+    """(unit, factors) with c = unit * prod f^e over a squarefree coprime
+    base, for a nonzero polynomial c entering a denominator.
+
+    The irreducible factors already present are divided out first, each
+    whole multiplicity at once; the rest is split by _squarefree.
+    """
+    unit, c = _primitive(c)
+    out = []
+    variables = _variables(c)
+    for f, _ in present:
+        if c.is_constant():
+            break
+        if f.linear is not None and f.variables <= variables:
+            m, c = _divide_out(c, f, c.total_degree() // f.poly.total_degree())
+            if m:
+                out.append((f, m))
+    if not c.is_constant():
+        out.extend(_squarefree(c))
+    return unit, tuple(out)
+
+
+def _squarefree(c: MultiPoly) -> Factors:
+    """The squarefree decomposition of an integer-primitive, positive-lead,
+    non-constant c: pairwise coprime (factor, multiplicity) pairs.
+
+    In characteristic 0 the gcd of c and all its partials is
+    prod p^(e-1) over the irreducible factors p^e of c (each p depends on
+    some variable and does not divide its own derivative there).  Then
+    Yun's peeling: w = prod p, and gcd(w, prod p^(e-k)) is the product of
+    the p with e > k, so w over it holds the p of multiplicity exactly k.
+    A w proved irreducible takes its whole remaining multiplicity at once.
+    """
+    f = _Factor(c)
+    if f.linear is not None:
+        return ((f, 1),)
+    g = c
+    for i in range(c.nvars):
+        d = c.diff(i)
+        if not d.is_zero():
+            g = poly_gcd(g, d)
+            if g.is_constant():
+                return ((f, 1),)
+    w = c.divide_exact(g)
+    out = []
+    k = 1
+    while not w.is_constant():
+        wf = _Factor(w)
+        if wf.linear is not None:
+            m, _ = _divide_out(g, wf, g.total_degree() // w.total_degree())
+            out.append((wf, k + m))
+            break
+        y = poly_gcd(w, g)
+        piece = w.divide_exact(y)
+        if not piece.is_constant():
+            out.append((_Factor(piece), k))
+        w, g = y, g.divide_exact(y)
+        k += 1
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# rational functions
+# ---------------------------------------------------------------------------
+
+class RatFunc:
+    """Rational function num/den in its one reduced form.
+
+    The denominator is held as a product of powers of base factors:
+    non-constant, squarefree, integer-primitive polynomials with positive
+    graded-lex leads, pairwise coprime, none sharing a factor with num.
+    So den, their expanded product, is integer-primitive with a positive
+    lead and num/den is the unique reduced pair: == and hash compare
+    (num, den) directly.  Polynomials have no factors and take fast paths
+    that skip cancellation; products and sums cancel by trial division
+    by each irreducible factor, and by exact gcds for the others.
+    """
+
+    __slots__ = ("num", "_factors", "_den", "_diff_cache")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.one(num.nvars)
-        if num.nvars != den.nvars:
+        if den is not None and num.nvars != den.nvars:
             raise FuncFieldError("variable-count mismatch")
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        self.num, self.den = _canonical_pair(num, den)
-        self._diff_cache = None
+        factors: Factors = ()
+        if den is not None:
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            unit, factors = _new_factors(den, ())
+            num, factors = _cancel(num._times(unit.denominator, unit.numerator), factors)
+        self.num = num
+        self._factors = factors if not num.is_zero() else ()
+        self._den = self._diff_cache = None
+
+    @staticmethod
+    def _make(num: MultiPoly, factors: Factors) -> RatFunc:
+        """Trusted constructor: num/prod(factors) must be reduced."""
+        out = object.__new__(RatFunc)
+        out.num = num
+        out._factors = factors if not num.is_zero() else ()
+        out._den = out._diff_cache = None
+        return out
 
     @staticmethod
     def const(nvars: int, value) -> RatFunc:
-        return RatFunc(MultiPoly.const(nvars, value))
+        return RatFunc._make(MultiPoly.const(nvars, value), ())
 
     @staticmethod
     def var(nvars: int, index: int) -> RatFunc:
-        return RatFunc(MultiPoly.var(nvars, index))
+        return RatFunc._make(MultiPoly.var(nvars, index), ())
 
     @property
     def nvars(self) -> int:
         return self.num.nvars
+
+    @property
+    def den(self) -> MultiPoly:
+        """The expanded denominator, built on first read."""
+        den = self._den
+        if den is None:
+            den = self._den = (_expand(self._factors) if self._factors
+                               else MultiPoly.one(self.num.nvars))
+        return den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -683,19 +1145,20 @@ class RatFunc:
         return not self.num.is_zero()
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return not self._factors and self.num.is_constant()
 
     def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        if self._factors:
+            raise FuncFieldError("rational function is not constant")
+        return self.num.constant_value()
 
     def is_polynomial(self) -> bool:
-        return self.den.is_constant()
+        return not self._factors
 
     def as_poly(self) -> MultiPoly:
-        if not self.is_polynomial():
+        if self._factors:
             raise FuncFieldError("rational function has a nontrivial denominator")
-        c = self.den.constant_value()
-        return self.num._times(c.denominator, c.numerator)
+        return self.num
 
     def _coerce(self, other) -> RatFunc:
         if isinstance(other, RatFunc):
@@ -703,7 +1166,9 @@ class RatFunc:
                 raise FuncFieldError("variable-count mismatch")
             return other
         if isinstance(other, MultiPoly):
-            return RatFunc(other)
+            if other.nvars != self.nvars:
+                raise FuncFieldError("variable-count mismatch")
+            return RatFunc._make(other, ())
         return RatFunc.const(self.nvars, other)
 
     def __add__(self, other) -> RatFunc:
@@ -712,23 +1177,32 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        q = other.den.divide_exact(self.den)
-        if q is not None:
-            return RatFunc(self.num * q + other.num, other.den)
-        q = self.den.divide_exact(other.den)
-        if q is not None:
-            return RatFunc(self.num + other.num * q, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, fa, b, fb = self.num, self._factors, other.num, other._factors
+        if fa == fb:
+            num = a + b
+            if not fa or num.is_zero():
+                return RatFunc._make(num, ())
+            return RatFunc._make(*_cancel(num, fa))
+        # a factor whose exponents differ cannot cancel: it divides one
+        # term of the sum over the lcm and is coprime to the other
+        if not fa:
+            return RatFunc._make(a * _expand(fb) + b, fb)
+        if not fb:
+            return RatFunc._make(a + b * _expand(fa), fa)
+        rows = _merge(fa, fb)
+        raise_a = tuple((f, eb - ea) for f, ea, eb in rows if eb > ea)
+        raise_b = tuple((f, ea - eb) for f, ea, eb in rows if ea > eb)
+        num = (a * _expand(raise_a) if raise_a else a) + (b * _expand(raise_b) if raise_b else b)
+        if num.is_zero():
+            return RatFunc._make(num, ())
+        num, equal = _cancel(num, tuple((f, ea) for f, ea, eb in rows if ea == eb))
+        return RatFunc._make(num, equal + tuple((f, max(ea, eb)) for f, ea, eb in rows
+                                                if ea != eb))
 
     __radd__ = __add__
 
     def __neg__(self) -> RatFunc:
-        # (-num, den) of a canonical pair is canonical: skip _canonical_pair
-        out = object.__new__(RatFunc)
-        out.num, out.den, out._diff_cache = -self.num, self.den, None
-        return out
+        return RatFunc._make(-self.num, self._factors)
 
     def __sub__(self, other) -> RatFunc:
         return self + (-self._coerce(other))
@@ -740,23 +1214,7 @@ class RatFunc:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return RatFunc.const(self.nvars, 0)
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        # cross-cancel before multiplying to keep degrees down
-        q = n1.divide_exact(d2)
-        if q is not None:
-            n1, d2 = q, MultiPoly.one(self.nvars)
-        else:
-            q = d2.divide_exact(n1)
-            if q is not None and not q.is_constant():
-                n1, d2 = MultiPoly.one(self.nvars), q
-        q = n2.divide_exact(d1)
-        if q is not None:
-            n2, d1 = q, MultiPoly.one(self.nvars)
-        else:
-            q = d1.divide_exact(n2)
-            if q is not None and not q.is_constant():
-                n2, d1 = MultiPoly.one(self.nvars), q
-        return RatFunc(n1 * n2, d1 * d2)
+        return _times(self.num, self._factors, other.num, other._factors)
 
     __rmul__ = __mul__
 
@@ -764,7 +1222,20 @@ class RatFunc:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return self * RatFunc(other.den, other.num)
+        if self.is_zero():
+            return self
+        # (a / A) / (c / D) = (a * D) / (A * c): D against A by exponents
+        # (a coprime base), then c's new factors against a
+        fa = self._factors
+        raised = MultiPoly.one(self.nvars)
+        if other._factors:
+            rows = _merge(fa, other._factors)
+            fa = tuple((f, ea - ed) for f, ea, ed in rows if ea > ed)
+            up = tuple((f, ed - ea) for f, ea, ed in rows if ed > ea)
+            if up:
+                raised = _expand(up)
+        unit, fc = _new_factors(other.num, fa)
+        return _times(self.num, fa, raised._times(unit.denominator, unit.numerator), fc)
 
     def __rtruediv__(self, other) -> RatFunc:
         return self._coerce(other) / self
@@ -775,28 +1246,60 @@ class RatFunc:
         if power < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-power)
-        return RatFunc(self.num ** power, self.den ** power)
+            return (RatFunc.const(self.nvars, 1) / self) ** (-power)
+        # coprime num and factors stay coprime under powers
+        return RatFunc._make(self.num ** power,
+                             tuple((f, e * power) for f, e in self._factors) if power else ())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (RatFunc, MultiPoly, int, Fraction)):
-            other = self._coerce(other)
-            return self.num * other.den == other.num * self.den
+        if isinstance(other, RatFunc):
+            if other.nvars != self.nvars:
+                raise FuncFieldError("variable-count mismatch")
+            return self.num == other.num and (self._factors == other._factors
+                                              or self.den == other.den)
+        if isinstance(other, (MultiPoly, int, Fraction)):
+            return not self._factors and self.num == other
         return NotImplemented
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def diff(self, index: int) -> RatFunc:
-        """Exact partial derivative (quotient rule); memoized per instance."""
+        """Exact partial derivative; memoized per instance.
+
+        With den = prod f_i^e_i and S the factors that depend on x_v,
+        d(a/den)/dx_v = N / (den * prod_S f_i) where
+        N = a' prod_S f_j - a sum_S e_i f_i' prod_{S - i} f_j.
+        An irreducible f_i in S does not divide N: mod f_i, N is
+        -a e_i f_i' prod_{S - i} f_j, and f_i divides none of a (reduced
+        form), e_i (characteristic 0), f_i' (lower degree in x_v, nonzero)
+        or the other f_j (coprime).  So only the factors outside S and
+        those not proved irreducible are tested.
+        """
         if self._diff_cache is not None and index in self._diff_cache:
             return self._diff_cache[index]
-        dn = self.num.diff(index)
-        if self.den.is_constant():
-            out = RatFunc(dn, self.den)
+        a, factors = self.num, self._factors
+        dn = a.diff(index)
+        if not factors:
+            out = RatFunc._make(dn, ())
         else:
-            dd = self.den.diff(index)
-            out = RatFunc(dn * self.den - self.num * dd, self.den * self.den)
+            moving = [(f, e) for f, e in factors if index in f.variables]
+            if not moving:
+                out = RatFunc._make(*_cancel(dn, factors))
+            else:
+                prod_s = _expand(tuple((f, 1) for f, _ in moving))
+                num = dn * prod_s
+                for i, (f, e) in enumerate(moving):
+                    others = tuple((g, 1) for j, (g, _) in enumerate(moving) if j != i)
+                    term = f.poly.diff(index)._times(e, 1)
+                    if others:
+                        term = term * _expand(others)
+                    num = num - a * term
+                test = tuple((f, e + 1 if index in f.variables else e) for f, e in factors
+                             if index not in f.variables or f.linear is None)
+                kept = tuple((f, e + 1) for f, e in moving if f.linear is not None)
+                num, test = _cancel(num, test)
+                out = RatFunc._make(num, kept + test)
         if self._diff_cache is None:
             self._diff_cache = {}
         self._diff_cache[index] = out
@@ -820,10 +1323,19 @@ class RatFunc:
         return num / den
 
     def lift(self, nvars_new: int, var_map: Sequence[int]) -> RatFunc:
-        return RatFunc(self.num.lift(nvars_new, var_map), self.den.lift(nvars_new, var_map))
+        # a renaming of variables keeps the factors squarefree, primitive
+        # and coprime, but may flip the sign of a lead
+        num = self.num.lift(nvars_new, var_map)
+        factors = []
+        for f, e in self._factors:
+            lifted, flipped = f.lift(nvars_new, var_map)
+            if flipped and e % 2:
+                num = -num
+            factors.append((lifted, e))
+        return RatFunc._make(num, tuple(factors))
 
     def to_string(self, variables: Sequence[str] | None = None) -> str:
-        if self.den == MultiPoly.one(self.nvars):
+        if not self._factors:
             return self.num.to_string(variables)
         num = self.num.to_string(variables)
         den = self.den.to_string(variables)
@@ -837,57 +1349,16 @@ class RatFunc:
         return f"RatFunc({self.to_string()})"
 
 
-def _canonical_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    nvars = num.nvars
-    if num.is_zero():
-        return MultiPoly.zero(nvars), MultiPoly.one(nvars)
-
-    # cancel the common monomial factor; a constant term in either
-    # rules one out
-    unit = (0,) * nvars
-    if unit not in num.coeffs and unit not in den.coeffs:
-        mins_n = map(min, zip(*num.coeffs))
-        mins_d = map(min, zip(*den.coeffs))
-        shift = tuple(min(a, b) for a, b in zip(mins_n, mins_d))
-    else:
-        shift = unit
-    if any(shift):
-        num = MultiPoly._make(nvars, {tuple(map(operator.sub, exp, shift)): c
-                                      for exp, c in num.coeffs.items()}, num.den)
-        den = MultiPoly._make(nvars, {tuple(map(operator.sub, exp, shift)): c
-                                      for exp, c in den.coeffs.items()}, den.den)
-
-    if not den.is_constant():
-        q = num.divide_exact(den)
-        if q is not None:
-            num, den = q, MultiPoly.one(nvars)
-        else:
-            q = den.divide_exact(num)
-            if q is not None and not num.is_constant():
-                num, den = MultiPoly.one(nvars), q
-
-    # same-variable univariate gcd, the one cheap factor cancellation we do
-    if not den.is_constant():
-        vn, vd = num.single_variable(), den.single_variable()
-        if vn is not None and vn == vd:
-            g = _univariate_gcd(num.univariate_coeffs(vn), den.univariate_coeffs(vn))
-            if len(g) > 1:
-                gp = MultiPoly(nvars, {
-                    tuple(k if i == vn else 0 for i in range(nvars)): c
-                    for k, c in enumerate(g) if c != 0})
-                num = num.divide_exact(gp) or num
-                den = den.divide_exact(gp) or den
-
-    # normalize: den integer-primitive with positive leading coefficient,
-    # that is den / (its content, signed like its lead)
-    coeffs = den.coeffs
-    content = math.gcd(*coeffs.values())
-    if coeffs[max(coeffs, key=_grlex_key)] < 0:
-        content = -content
-    if content != 1 or den.den != 1:
-        num = num._times(den.den, content)
-        den = MultiPoly._make(nvars, {e: c // content for e, c in coeffs.items()})
-    return num, den
+def _times(a: MultiPoly, fa: Factors, b: MultiPoly, fb: Factors) -> RatFunc:
+    """(a / prod fa) * (b / prod fb) for reduced operands: each numerator
+    is cancelled against the other side's factors, then exponents add."""
+    if fb:
+        a, fb = _cancel(a, fb)
+    if fa:
+        b, fa = _cancel(b, fa)
+    if not fa or not fb:
+        return RatFunc._make(a * b, fa or fb)
+    return RatFunc._make(a * b, tuple((f, ea + eb) for f, ea, eb in _merge(fa, fb)))
 
 
 # ---------------------------------------------------------------------------

@@ -313,3 +313,13 @@ def test_identity_suite_failure_exits_four(monkeypatch, capsys):
     assert report["status"] == "error"
     (case,) = report["checks"]
     assert case["details"]["d_lemma"] is False
+
+
+def test_verify_identities_rejects_singular_variety(capsys, tmp_path):
+    # x1^4 + x2^4 is singular at (0 : 0 : 1)
+    path = tmp_path / "singular.variety.json"
+    path.write_text(json.dumps({"n": 3, "degree": 4, "f": "x1^4 + x2^4"}))
+    code = main(["verify-identities", "--variety", str(path),
+                 "--seed", "7", "--cases", "1"])
+    assert code == EXIT_CONFIG
+    assert "hypersurface is singular at" in capsys.readouterr().err
