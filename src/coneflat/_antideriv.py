@@ -540,14 +540,29 @@ class QuadratureError(RuntimeError):
     """No pole-free integration path was found."""
 
 
+# evaluations of the integrand per adaptive Simpson call; the certify
+# benchmark's grid round trips use at most 81 and the test suite 513
+_MAX_SIMPSON_EVALS = 10_000
+
+
 def _adaptive_simpson(g: Callable[[float], float], a: float, b: float,
-                      tol: float) -> float:
+                      tol: float, stage: str) -> float:
+    """Adaptive Simpson quadrature of g over [a, b], to recursion depth
+    40 and at most _MAX_SIMPSON_EVALS evaluations of g; reaching that
+    cap (an integrand near a pole, say) raises QuadratureError naming
+    stage."""
     fa, fb = g(a), g(b)
     m = 0.5 * (a + b)
     fm = g(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    evals = 3
 
     def recurse(a, b, fa, fm, fb, whole, tol, depth):
+        nonlocal evals
+        evals += 2
+        if evals > _MAX_SIMPSON_EVALS:
+            raise QuadratureError(f"{stage}: adaptive Simpson reached "
+                                  f"{_MAX_SIMPSON_EVALS} evaluations")
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         flm, frm = g(lm), g(rm)
@@ -579,7 +594,8 @@ def path_integral(components: Sequence[RatFunc], start: Sequence[float],
             point[j] = t
             return float(components[j].evaluate(point))
 
-        total += _adaptive_simpson(g, a, b, tol)
+        total += _adaptive_simpson(
+            g, a, b, tol, f"path quadrature along coordinate {j} from {a:g} to {b:g}")
         current[j] = b
     return total
 

@@ -343,8 +343,10 @@ def cmd_verify_identities(args) -> RunReport:
         ok["double_bracket"] = bracket.verdict
         passed = all(ok.values())
         all_exact = all_exact and passed
+        # pole_drops is a counter, kept out of ok, whose all() is the verdict
         report.add(f"case_{case}", passed,
-                   **{k: v for k, v in sorted(ok.items())})
+                   **{k: v for k, v in sorted(ok.items())},
+                   pole_drops=bracket.details["pole_drops"])
     report.timings["total_s"] = round(time.perf_counter() - t0, 6)
     if not all_exact:
         # these identities are theorems; a failure means broken code
@@ -406,7 +408,8 @@ def cmd_selftest(args) -> RunReport:
             scale="1/(1 - x1)", twist="x1"))["coframe"]), z)
     bracket = double_bracket_check(cs, samples=6, seed=2)
     report.add("double_bracket_exact", bracket.verdict,
-               residual=max(bracket.residuals, default=0))
+               residual=max(bracket.residuals, default=0),
+               pole_drops=bracket.details["pole_drops"])
 
     report.timings["total_s"] = round(time.perf_counter() - t0, 6)
     return report

@@ -229,10 +229,12 @@ class ConeStructure:
 
 def require_smooth(z: Hypersurface) -> None:
     """Raise ConeError unless Z is smooth (see smooth_check), naming the
-    witness of a singular Z when one was found."""
+    witness of a singular Z, in projective coordinates (x1 : ... : xn),
+    when one was found."""
     report = z.smoothness
     if report.witness is not None:
-        raise ConeError(f"hypersurface is singular at {report.witness}")
+        point = " : ".join(str(c) for c in report.witness)
+        raise ConeError(f"hypersurface is singular at ({point})")
     if not report:
         raise ConeError(f"hypersurface is singular, with no singular point whose "
                         f"coordinates are integers of size <= {_WITNESS_BOUND}")

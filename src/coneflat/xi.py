@@ -378,13 +378,18 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
     univariate polynomial by exact root finding, and rejects the zero
     vector and points where the gradient vanishes.  Deterministic for a
     fixed seed: candidate index idx uses generator seed f"{seed}:u{idx}".
+    Candidates are drawn in blocks (``draw_seeded`` with block set):
+    the lines of a block are solved together by
+    ``_modp.poly_roots_block`` and accepted lazily in index order, so
+    the points do not depend on the block size and equal those of
+    solving one candidate at a time with ``_modp.poly_roots``.
     """
     f = _poly_of(z)
     n = f.nvars
     f_mod = f.reduce_mod_prime(p)
     grads = [f.diff(i).reduce_mod_prime(p) for i in range(n)]
 
-    def draw(rng):
+    def line(rng):
         free = rng.randrange(n)
         vals = [rng.randrange(p) for _ in range(n)]
         deg = f.degree_in(free)
@@ -395,8 +400,10 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
                 if i != free and e:
                     term = term * pow(vals[i], e, p) % p
             coeffs[exp[free]] = (coeffs[exp[free]] + term) % p
+        return free, vals, coeffs
+
+    def accept(free, vals, coeffs, rng, roots):
         if any(coeffs):
-            roots = _modp.poly_roots(coeffs, p, rng)
             if not roots:
                 return None
             root = roots[rng.randrange(len(roots))]
@@ -411,8 +418,15 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
             return None
         return tuple(u), grad
 
+    def draw(rngs):
+        lines = [line(rng) for rng in rngs]
+        solved = _modp.poly_roots_block([coeffs for _, _, coeffs in lines], p, rngs)
+        return (accept(free, vals, coeffs, rng, roots)
+                for (free, vals, coeffs), rng, roots in zip(lines, rngs, solved))
+
     return draw_seeded(draw, count, seed, "u", max(count * 150, 64), VarietySamplingError,
-                       f"found {{found}} of {{count}} cone points mod {p} after {{limit}} tries")
+                       f"found {{found}} of {{count}} cone points mod {p} after {{limit}} tries",
+                       block=True)
 
 
 def sample_variety_points_complex(z, count: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -13,6 +13,7 @@ from coneflat._antideriv import (
     AntiderivativeError,
     GridPotential,
     LogCombination,
+    QuadratureError,
     UniPoly,
     integrate_axis,
     integrate_closed_form,
@@ -289,6 +290,16 @@ def test_grid_potential_coupled_axes():
     assert grid.evaluate(pt) == pytest.approx(float(h.evaluate(pt)), abs=1e-9)
     # cached: second call must agree bit for bit
     assert grid.evaluate(pt) == grid.evaluate(pt)
+
+
+def test_grid_potential_next_to_a_pole_raises_at_the_evaluation_cap():
+    # 1/(1 - x1) integrated up to 1e-7 short of its pole: uncapped, the
+    # adaptive Simpson recursion takes about 240,000 evaluations
+    comps = [R("1/(1 - x1)"), R("0"), R("0")]
+    grid = GridPotential(comps, (Fraction(0),) * 3)
+    with pytest.raises(QuadratureError,
+                       match="path quadrature along coordinate 0 .* reached 10000 evaluations"):
+        grid.evaluate((1 - 1e-7, 0.0, 0.0))
 
 
 def test_grid_potential_exp_helper():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from coneflat import cli
+from coneflat import cli, cone
 from coneflat.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -132,6 +132,37 @@ def test_selftest_passes(capsys):
     code, report = run_json(capsys, "selftest", "--seed", "1")
     assert code == EXIT_OK
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_reports_count_bracket_samples_dropped_at_poles(monkeypatch, capsys):
+    code, report = run_json(capsys, "verify-identities", "--seed", "7", "--cases", "1")
+    assert code == EXIT_OK
+    assert report["checks"][0]["details"]["pole_drops"] == 0
+
+    real = cone.sample_cone
+
+    def with_a_pole(cs, count, seed, field=None):
+        # the selftest's rescaled model has its pole at x1 = 1
+        points = real(cs, count - 1, seed, field)
+        x, y = points[0]
+        return points + [((1,) + tuple(x[1:]), y)]
+
+    monkeypatch.setattr(cone, "sample_cone", with_a_pole)
+    code, report = run_json(capsys, "selftest", "--seed", "1")
+    assert code == EXIT_OK
+    (check,) = [c for c in report["checks"] if c["name"] == "double_bracket_exact"]
+    assert check["passed"]
+    assert check["details"] == {"pole_drops": 1, "residual": 0}
+
+
+def test_verify_identities_names_the_singular_point_projectively(capsys, tmp_path):
+    path = tmp_path / "singular.variety.json"
+    path.write_text(json.dumps({"n": 3, "degree": 4, "f": "x1^4 + x2^4"}))
+    code = main(["verify-identities", "--variety", str(path), "--seed", "7", "--cases", "1"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "hypersurface is singular at (0 : 0 : 1)" in err
+    assert "Fraction(" not in err
 
 
 def test_version_flag():
