@@ -264,7 +264,10 @@ def cmd_xi(args) -> RunReport:
                expected=z.n * (z.n - 1) // 2)
     space = xi.xi_Z(z, cfgx)
     meta = dict(space.meta)
-    report.add("xi_Z", True, dim=space.dim, dim_xi_V=z.n,
+    # a sampled xi_Z passes only when its dimension was stable across the
+    # primes and it was seen to contain Xi_V, as it must
+    report.add("xi_Z", meta["stable"] and meta["contains_xi_V"],
+               dim=space.dim, dim_xi_V=z.n,
                equal_dims=space.dim == z.n, **{
                    k: meta[k] for k in sorted(meta) if k != "notes"})
     report.timings["total_s"] = round(time.perf_counter() - t0, 6)

@@ -96,6 +96,22 @@ def test_xi_command_reports_dimensions(capsys):
     assert xiz["dim"] == 3 and xiz["equal_dims"] and xiz["stable"]
 
 
+def test_xi_command_rejects_an_unstable_xi_Z(monkeypatch, capsys):
+    original = cli.xi.xi_Z
+
+    def unstable(*args, **kwargs):
+        space = original(*args, **kwargs)
+        space.meta["stable"] = False
+        return space
+
+    monkeypatch.setattr(cli.xi, "xi_Z", unstable)
+    code, report = run_json(capsys, "xi", "--seed", "2", "--samples", "30")
+    assert code == EXIT_REJECTED
+    xiz = {c["name"]: c for c in report["checks"]}["xi_Z"]
+    assert not xiz["passed"] and not xiz["details"]["stable"]
+    assert xiz["details"]["contains_xi_V"]
+
+
 def test_xi_command_rejects_irrationally_singular_variety(capsys, tmp_path):
     # singular only at (+-sqrt(3) : 1 : 0)
     path = tmp_path / "singular.variety.json"

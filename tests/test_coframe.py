@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from coneflat.funcfield import RatFunc, parse_ratfunc
+from coneflat.cone import Hypersurface, adapted_cone, double_bracket_check
+from coneflat.funcfield import RatFunc, parse_poly, parse_ratfunc
 from coneflat.coframe import (
     Chart,
     ChartError,
@@ -318,7 +320,8 @@ def test_tangent_dual_frame_rescaled():
     for a in range(3):
         assert d_lambda.matrix[3 + a][a] == parse_ratfunc("1 - x1", tvars)
     # D_theta's y-part carries the correction that kills D_theta(mu)
-    relations = check_dual_relations(ic, (d_theta, d_lambda))
+    assert all(d_theta.apply(a, ic.mu[k]).is_zero() for k in range(3) for a in range(3))
+    relations = check_dual_relations(ic)
     assert all(relations.values()), relations
 
 
@@ -357,6 +360,37 @@ def test_geodesic_identities_random():
     ic = induced_coframe(cf)
     results = check_geodesic_identities(ic)
     assert all(results.values()), results
+
+
+def test_corrupted_lambda_row_fails_the_mu_relations_and_the_double_bracket():
+    cs = adapted_cone(rescaled_coframe(), Hypersurface(parse_poly("x1^4 + x2^4 + x3^4", VARS)))
+    rows = [list(row) for row in cs.induced.matrix]
+    rows[3][0] = rows[3][0] + RatFunc.var(6, 3)      # lambda^1 gains y1 dx1
+    bad = dataclasses.replace(cs.induced, matrix=tuple(map(tuple, rows)))
+    relations = check_dual_relations(bad)
+    assert not relations["dtheta_mu_is_zero"]
+    # D_lambda has no dx-part, so the dy-columns alone still give D_lambda(mu) = I
+    assert relations["dlambda_mu_is_identity"]
+    assert not check_geodesic_identities(bad)["bracket_dlambda_gamma_is_dtheta"]
+    cs.induced = bad
+    report = double_bracket_check(cs, samples=4, seed=1)
+    assert not report.verdict and not report.identity_exact
+    assert report.samples == 0 and report.details["pole_drops"] == 0
+
+
+def test_corrupted_dual_frame_fails_the_pairing_proof():
+    cf = rescaled_coframe()
+    cf.dual = dual_frame(flat_coframe())
+    with pytest.raises(SingularCoframeError):
+        tangent_dual_frame(cf.induced)
+
+
+def test_induced_matrix_off_its_block_form_fails_the_pairing_proof():
+    ic = induced_coframe(rescaled_coframe())
+    rows = [list(row) for row in ic.matrix]
+    rows[3][4] = rows[3][4] + RatFunc.var(6, 0)      # lambda^1 gains x1 dy2
+    with pytest.raises(SingularCoframeError):
+        tangent_dual_frame(dataclasses.replace(ic, matrix=tuple(map(tuple, rows))))
 
 
 def test_tangent_frame_bracket_table():

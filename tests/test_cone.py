@@ -359,6 +359,17 @@ def test_double_bracket_float_random_coframe():
     assert report.max_residual < 1e-8
 
 
+def test_double_bracket_fields_are_the_projected_full_brackets():
+    cf = mk_coframe([["1/(1 - x1)", "0", "0"], ["0", "1", "x1"], ["x2", "x3", "1"]])
+    cs = cone.adapted_cone(cf, fermat())
+    ic = cs.induced
+    fields = cone._double_bracket_fields(cs)
+    assert any(not c.is_zero() for field in fields for c in field)
+    for a in range(3):
+        full = ic.frames[0].vector(a).bracket(ic.gamma)
+        assert fields[a] == list(full.components[:3])
+
+
 def test_double_bracket_unknown_mode():
     cs = cone.adapted_cone(flat_coframe(), fermat())
     with pytest.raises(cone.ConeError):

@@ -27,6 +27,7 @@ from coneflat.funcfield import (
     parse_poly,
     parse_ratfunc,
     poly_gcd,
+    set_term_bound,
     term_bound,
     DEFAULT_TERM_BOUND,
 )
@@ -199,6 +200,21 @@ def test_n4_coframe_identities_under_the_default_term_bound():
     ic = cf.induced
     assert all(check_dual_relations(ic).values())
     assert all(check_geodesic_identities(ic).values())
+
+
+def test_n4_coframe_identities_under_a_tenth_of_the_default_term_bound():
+    # the pairing proof at n x n and the closed-form gamma keep every
+    # expression of this coframe under 10,000 terms
+    cf = random_polynomial_coframe(Chart.standard(4), random.Random("n4seed"),
+                                   unimodular=False)
+    saved = term_bound()
+    set_term_bound(10_000)
+    try:
+        ic = cf.induced
+        assert all(check_dual_relations(ic).values())
+        assert all(check_geodesic_identities(ic).values())
+    finally:
+        set_term_bound(saved)
 
 
 # -- the induced determinant and dropped bracket samples --------------------------
