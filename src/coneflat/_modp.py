@@ -207,9 +207,10 @@ def kernel_of_row_mod(row: Sequence[int], p: int) -> list[list[int]]:
     return basis
 
 
-def kernel_from_rref(reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int,
-                     p: int) -> list[list[int]]:
-    """``kernel_mod`` of a matrix given by its ``rref_mod`` output."""
+def kernel_from_rref(reduced: Sequence[Sequence], pivots: Sequence[int], ncols: int,
+                     p: int | None) -> list[list]:
+    """``kernel_mod`` of a matrix given by its ``row_reduce`` output over
+    GF(p), or over the entries' own field when p is None."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -218,7 +219,7 @@ def kernel_from_rref(reduced: Sequence[Sequence[int]], pivots: Sequence[int], nc
         vec = [0] * ncols
         vec[free] = 1
         for row, col in zip(reduced, pivots):
-            vec[col] = (-row[free]) % p
+            vec[col] = -row[free] % p if p else -row[free]
         basis.append(vec)
     return basis
 

@@ -242,9 +242,6 @@ def _variety_from_args(args, required: bool = True) -> Hypersurface:
 
 
 def cmd_xi(args) -> RunReport:
-    if args.backend == "rational":
-        raise ConfigError("the xi command samples over prime fields or "
-                          "floats; use --backend modp or float")
     z = _variety_from_args(args, required=False)
     cfgx = _xi_config(args)
     report = RunReport("xi", _echo(args))
@@ -264,8 +261,9 @@ def cmd_xi(args) -> RunReport:
                expected=z.n * (z.n - 1) // 2)
     space = xi.xi_Z(z, cfgx)
     meta = dict(space.meta)
-    # a sampled xi_Z passes only when its dimension was stable across the
-    # primes and it was seen to contain Xi_V, as it must
+    # xi_Z passes only when its dimension is stable (the same over every
+    # prime, or the float kernel's equal to the exact one) and it contains
+    # Xi_V, as it must
     report.add("xi_Z", meta["stable"] and meta["contains_xi_V"],
                dim=space.dim, dim_xi_V=z.n,
                equal_dims=space.dim == z.n, **{
@@ -290,12 +288,8 @@ def cmd_certify(args) -> RunReport:
 
     report = RunReport("certify", _echo(args))
     t0 = time.perf_counter()
-    if args.backend == "rational":
-        space = xi.xi_V(cs.n)
-    else:
-        space = xi.xi_Z(z, _xi_config(args))
-        report.add("xi_Z_dims", True, dim=space.dim,
-                   equal_dims=space.dim == cs.n)
+    space = xi.xi_Z(z, _xi_config(args))
+    report.add("xi_Z_dims", True, dim=space.dim, equal_dims=space.dim == cs.n)
     cert = flatten.certify(cs, space, flatten.CertifyConfig(
         seed=args.seed, tol_membership=args.tol,
         validation_samples=args.samples))

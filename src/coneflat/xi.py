@@ -3,9 +3,19 @@
 Xi_V is the n-dimensional image of the contraction iota(eta)(u, v) =
 eta(u) v - eta(v) u.  Xi_Z is cut out by the linear conditions
 "grad f(u) . sigma(u, v) = 0 whenever u lies on the cone of Z and v is
-tangent there"; it is computed as the kernel of a sampled constraint
-matrix, exactly over one or more prime fields or numerically over the
-complex numbers.
+tangent there", that is: G_sigma(u, v) = sum_k d_k f(u) sigma^k(u, v)
+vanishes on the incidence variety {f(u) = 0, grad f(u) . v = 0}.
+
+For smooth Z and n >= 3 the ideal (f, grad f . v) is a complete
+intersection that is generically reduced and Cohen-Macaulay, hence
+radical (Eisenbud, Commutative Algebra, section 18), so vanishing is
+membership.  G_sigma has bidegree (d, 1) in (u, v), and the members of
+that bidegree are (c . v) f(u) + (b . u) (grad f(u) . v) for constant
+vectors c, b.  Xi_Z is therefore the sigma-part of the kernel of one
+integer coefficient-match matrix, reduced exactly over each prime field
+or over Q; xi_Z raises XiError when the hypotheses fail.  A float
+backend keeps a numerical kernel of constraints at sampled complex cone
+points, checked against the exact dimension.
 
 Tensor coordinates are flattened in the fixed order (k, i < j); every
 matrix in this module uses that layout.
@@ -24,8 +34,6 @@ from coneflat.funcfield import MultiPoly, RatFunc, _fraction_mod, evaluate_reduc
 from coneflat.coframe import Coframe, draw_seeded
 
 DEFAULT_PRIMES = (2147483647, 2147483629)
-# sample doublings after the first batch before xi_Z reports an unstable kernel
-MAX_DOUBLINGS = 3
 
 
 class XiError(ValueError):
@@ -482,19 +490,24 @@ def sample_variety_points_complex(z, count: int, seed) -> list[tuple[np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the Xi_Z constraint system
+# Xi_Z: the bidegree-(d, 1) membership system
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ConstraintBatch:
     n: int
-    field: object
     rows: list
     provenance: list = field(default_factory=list)
 
 
 @dataclass
 class XiConfig:
+    """backend is "modp" (exact over each prime), "rational" (exact over
+    Q) or "float" (a numerical kernel of sampled complex constraints).
+    samples sizes the float backend's sample and the two sampled probes,
+    span_check and tangent_lines_nondegenerate; the exact backends draw
+    no samples."""
+
     backend: str = "modp"
     primes: tuple[int, ...] = DEFAULT_PRIMES
     samples: int = 50
@@ -507,91 +520,147 @@ class XiConfig:
                 raise XiError(f"{p} is not prime")
 
 
-def assemble_xiZ_constraints(z, count: int, seed, fieldtag) -> ConstraintBatch:
-    """One row per (cone point u, tangent-basis vector v): the functional
-    sigma -> grad f(u) . sigma(u, v) in flattened tensor coordinates."""
+def assemble_xiZ_constraints(z, count: int, seed) -> ConstraintBatch:
+    """One row per (complex cone point u, tangent-basis vector v): the
+    functional sigma -> grad f(u) . sigma(u, v) in flattened tensor
+    coordinates, for the float backend."""
     f = _poly_of(z)
     n = f.nvars
     triples = coordinate_triples(n)
     rows = []
     provenance = []
-    if isinstance(fieldtag, int):
-        p = fieldtag
-        for u, grad in sample_variety_points_modp(z, p, count, seed):
-            for v in _modp.kernel_of_row_mod(grad, p):
-                row = []
-                wedge = {}
-                for (i, j) in pair_list(n):
-                    wedge[(i, j)] = (u[i] * v[j] - u[j] * v[i]) % p
-                for (k, i, j) in triples:
-                    row.append(grad[k] * wedge[(i, j)] % p)
-                rows.append(row)
-                provenance.append((u, tuple(v)))
-    elif fieldtag == "float":
-        for u, grad in sample_variety_points_complex(z, count, seed):
-            pivot = int(np.argmax(np.abs(grad)))
-            for i in range(n):
-                if i == pivot:
-                    continue
-                v = np.zeros(n, dtype=complex)
-                v[i] = 1.0
-                v[pivot] = -grad[i] / grad[pivot]
-                wedge = {(a, b): u[a] * v[b] - u[b] * v[a] for (a, b) in pair_list(n)}
-                rows.append([grad[k] * wedge[(i2, j2)] for (k, i2, j2) in triples])
-                provenance.append((tuple(u), tuple(v)))
-    else:
-        raise XiError("constraint assembly supports prime fields and float")
-    return ConstraintBatch(n=n, field=fieldtag, rows=rows, provenance=provenance)
+    for u, grad in sample_variety_points_complex(z, count, seed):
+        pivot = int(np.argmax(np.abs(grad)))
+        for i in range(n):
+            if i == pivot:
+                continue
+            v = np.zeros(n, dtype=complex)
+            v[i] = 1.0
+            v[pivot] = -grad[i] / grad[pivot]
+            wedge = {(a, b): u[a] * v[b] - u[b] * v[a] for (a, b) in pair_list(n)}
+            rows.append([grad[k] * wedge[(i2, j2)] for (k, i2, j2) in triples])
+            provenance.append((tuple(u), tuple(v)))
+    return ConstraintBatch(n=n, rows=rows, provenance=provenance)
 
 
-def _kernel_dim_stabilized(z, p: int, config: XiConfig):
-    """Kernel basis mod p with sample doubling until the dimension stops
-    moving; returns (basis, dim, samples_used, stabilized, reduced).
+def _smooth_form(z) -> MultiPoly:
+    """The form f of z, once Z = {f = 0} is proved smooth with n >= 3:
+    the hypotheses under which (f, grad f . v) is radical.  Reads the
+    cached Hypersurface.smoothness (building a Hypersurface for a bare
+    form); raises XiError otherwise."""
+    from coneflat.cone import ConeError, Hypersurface   # cone imports this module
+    f = _poly_of(z)
+    try:
+        # Hypersurface also refuses n < 3
+        report = (z if isinstance(z, Hypersurface) else Hypersurface(f)).smoothness
+    except ConeError as exc:
+        raise XiError(f"smoothness of Z is not proved: {exc}") from exc
+    if not report:
+        raise XiError("Xi_Z is computed for smooth Z only; this Z is singular")
+    return f
 
-    Each stage reduces the previous stage's RREF rows together with the
-    new batch, which gives the RREF of every row gathered so far (the
-    RREF of a row space is unique); reduced holds those at most
-    coordinate_dim(n) rows.
+
+def membership_matrix(f: MultiPoly) -> list[list[int]]:
+    """The integer coefficient match of
+    G_sigma(u, v) = (c . v) f(u) + (b . u) (grad f(u) . v).
+
+    G_sigma = sum_k d_k f(u) sigma^k(u, v) has bidegree (d, 1), so both
+    sides are compared monomial by monomial: one row per u^alpha v_j
+    with |alpha| = d that some term reaches, and the columns
+    [c (n) | b (n) | sigma in coordinate_triples order].  f enters
+    through its integer numerator, which spans the same ideal.
     """
-    ncols = coordinate_dim(_poly_of(z).nvars)
-    count = max(config.samples, ncols)
-    reduced = []
-    prev_dim = None
-    used = 0
-    stage = 0
-    while True:
-        batch = assemble_xiZ_constraints(z, count, f"{config.seed}:p{p}:s{stage}", p)
-        reduced, pivots = _modp.rref_mod(reduced + batch.rows, p)
-        used += count
-        basis = _modp.kernel_from_rref(reduced, pivots, ncols, p)
-        dim = len(basis)
-        if prev_dim is not None and dim == prev_dim:
-            return basis, dim, used, True, reduced
-        if stage >= MAX_DOUBLINGS:
-            return basis, dim, used, prev_dim == dim, reduced
-        prev_dim = dim
-        stage += 1
-        count = used  # next batch doubles the running total
+    n = f.nvars
+    pairs = pair_list(n)
+    width = 2 * n + coordinate_dim(n)
+    rows: dict[tuple, list[int]] = {}
+
+    def add(exp, j, col, coeff):
+        row = rows.get((exp, j))
+        if row is None:
+            row = rows[(exp, j)] = [0] * width
+        row[col] += coeff
+
+    def shift(exp, i, by=1):
+        return exp[:i] + (exp[i] + by,) + exp[i + 1:]
+
+    for exp, a in f.coeffs.items():
+        for j in range(n):
+            add(exp, j, j, -a)
+        # the term a * exp[k] * u^(exp - e_k) of d_k f
+        for k in range(n):
+            if not exp[k]:
+                continue
+            g, ak = shift(exp, k, -1), a * exp[k]
+            for i in range(n):
+                add(shift(g, i), k, n + i, -ak)
+            for col, (i, j) in enumerate(pairs, 2 * n + k * len(pairs)):
+                add(shift(g, i), j, col, ak)
+                add(shift(g, j), i, col, -ak)
+    return list(rows.values())
+
+
+def _sigma_constraints(matrix: list[list[int]], n: int, p: int | None):
+    """Reduce the membership matrix over GF(p), or over Q when p is None;
+    returns (rows, pivots, rank of the (c, b) block).
+
+    The RREF rows whose pivot lies in the sigma block are zero on
+    (c, b), and every other row can be met by a choice of (c, b); so
+    sigma is a member exactly when those rows, restricted to the sigma
+    columns, annihilate it, whatever the rank of the (c, b) block.
+    """
+    if p is None:
+        reduced, pivots = _modp.row_reduce([[Fraction(c) for c in row] for row in matrix])
+    else:
+        reduced, pivots = _modp.rref_mod(matrix, p)
+    lead = 2 * n
+    rows = [row[lead:] for row, col in zip(reduced, pivots) if col >= lead]
+    cols = [col - lead for col in pivots if col >= lead]
+    return rows, cols, len(pivots) - len(cols)
+
+
+def _annihilates(rows, vectors, p: int | None) -> bool:
+    for vec in vectors:
+        for row in rows:
+            s = sum(r * v for r, v in zip(row, vec))
+            if (s % p if p else s) != 0:
+                return False
+    return True
 
 
 def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
-    """The sampled Xi_Z subspace with cross-backend stability checks.
+    """Xi_Z of a smooth Z = {f = 0} with n >= 3, exactly by ideal membership
+    (see the module docstring): the integer matrix of the match
+    (membership_matrix) is built once, and the sigma constraints are read
+    off its RREF (_sigma_constraints).
 
-    In prime mode the kernel is computed independently over each
-    configured prime; the dimensions must agree and each iota basis
-    tensor must be annihilated by every constraint row (containment of
-    Xi_V), or the result is flagged unstable in meta.
+    backend "modp": the kernel over each configured prime.  meta: dims
+    per prime; stable, the per-prime dimensions agree; contains_xi_V,
+    every constraint row annihilates every iota basis tensor;
+    proves_xi_V, some prime gives dimension n, contains Xi_V and keeps
+    the (c, b) block at its full rank 2n, which proves Xi_Z = Xi_V over
+    Q (a rank mod p is at most the rank over Q).  The basis is that of
+    the first prime.
+
+    backend "rational": the same matrix reduced over Q; a "rational"
+    subspace, stable by construction.
+
+    backend "float": the numerical kernel (SVD) of constraints at
+    sampled complex cone points; stable when its dimension equals the
+    exact dimension mod the first prime.
+
+    Raises XiError for n < 3 or a Z not proved smooth.
     """
     config = config or XiConfig()
-    f = _poly_of(z)
+    f = _smooth_form(z)
     n = f.nvars
-    meta = {"backend": config.backend, "samples_requested": config.samples,
-            "seed": str(config.seed), "dims": {}, "notes": []}
-    xiv = xi_V(n)
+    matrix = membership_matrix(f)
+    iota = xi_V(n).basis
+    meta = {"backend": config.backend, "seed": str(config.seed), "dims": {}, "notes": []}
 
     if config.backend == "float":
         batch = assemble_xiZ_constraints(z, max(config.samples, coordinate_dim(n)),
-                                         config.seed, "float")
+                                         config.seed)
         a = np.array(batch.rows, dtype=complex)
         _, svals, vh = np.linalg.svd(a)
         cutoff = config.tol * (svals[0] if len(svals) else 1.0)
@@ -601,44 +670,51 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
         contains = all(
             float(np.linalg.norm(a @ np.array([complex(c) for c in b.coordinates()])))
             < config.tol * max(float(np.linalg.norm(a)), 1.0)
-            for b in xiv.basis)
+            for b in iota)
+        p = config.primes[0]
+        exact = coordinate_dim(n) - len(_sigma_constraints(matrix, n, p)[0])
         meta["dims"]["float"] = len(basis)
         meta["contains_xi_V"] = contains
-        meta["stable"] = True
+        meta["stable"] = len(basis) == exact
+        if not meta["stable"]:
+            meta["notes"].append(f"float kernel dimension {len(basis)} differs from "
+                                 f"the exact dimension {exact} mod {p}")
         meta["singular_values"] = [float(s) for s in svals]
         return TensorSubspace(n, "float", basis, meta=meta, tol=config.tol)
 
-    if config.backend != "modp":
+    if config.backend == "modp":
+        fields = list(config.primes)
+    elif config.backend == "rational":
+        fields = [None]
+    else:
         raise XiError(f"unknown backend {config.backend!r}")
-
-    results = {}
-    all_stable = True
+    meta["method"] = "ideal_membership"
+    bases = {}
     contains_all = True
-    for p in config.primes:
-        basis, dim, used, stabilized, reduced = _kernel_dim_stabilized(z, p, config)
-        results[p] = (basis, dim)
-        all_stable = all_stable and stabilized
-        if not stabilized:
-            meta["notes"].append(f"dimension did not stabilize mod {p}")
-        for b in xiv.basis:
-            vec = b.reduce_mod(p).coordinates()
-            # the reduced rows span the constraint rows: same verdict
-            for row in reduced:
-                if sum(r * v for r, v in zip(row, vec)) % p != 0:
-                    contains_all = False
-                    meta["notes"].append(f"iota basis tensor violates a row mod {p}")
-                    break
-        meta["dims"][str(p)] = results[p][1]
-        meta.setdefault("samples_used", {})[str(p)] = used
-    dims = {results[p][1] for p in config.primes}
+    proves = False
+    for p in fields:
+        rows, pivots, cb_rank = _sigma_constraints(matrix, n, p)
+        bases[p] = _modp.kernel_from_rref(rows, pivots, coordinate_dim(n), p)
+        iota_vecs = [(b.reduce_mod(p) if p else b).coordinates() for b in iota]
+        contains = _annihilates(rows, iota_vecs, p)
+        if not contains:
+            meta["notes"].append(f"an iota basis tensor violates a constraint mod {p}")
+        contains_all = contains_all and contains
+        proves = proves or (len(bases[p]) == n and contains and cb_rank == 2 * n)
+        meta["dims"][str(p) if p else "rational"] = len(bases[p])
+    dims = set(meta["dims"].values())
     if len(dims) != 1:
-        all_stable = False
         meta["notes"].append(f"prime backends disagree on dimension: {meta['dims']}")
-    meta["stable"] = all_stable
+    meta["stable"] = len(dims) == 1
     meta["contains_xi_V"] = contains_all
+    meta["proves_xi_V"] = proves
+    if config.backend == "rational":
+        basis = [HomTensor.from_coordinates(n, [Fraction(v) for v in vec], "rational")
+                 for vec in bases[None]]
+        return TensorSubspace(n, "rational", basis, meta=meta, tol=config.tol)
     meta["primes"] = list(config.primes)
     p0 = config.primes[0]
-    basis = [HomTensor.from_coordinates(n, vec, p0) for vec in results[p0][0]]
+    basis = [HomTensor.from_coordinates(n, vec, p0) for vec in bases[p0]]
     return TensorSubspace(n, p0, basis, meta=meta, tol=config.tol)
 
 

@@ -94,6 +94,7 @@ def test_xi_command_reports_dimensions(capsys):
     assert by_name["tangent_lines_nondegenerate"]["details"]["rank"] == 3
     xiz = by_name["xi_Z"]["details"]
     assert xiz["dim"] == 3 and xiz["equal_dims"] and xiz["stable"]
+    assert xiz["method"] == "ideal_membership" and xiz["proves_xi_V"]
 
 
 def test_xi_command_rejects_an_unstable_xi_Z(monkeypatch, capsys):
@@ -122,6 +123,19 @@ def test_xi_command_rejects_irrationally_singular_variety(capsys, tmp_path):
     (check,) = report["checks"]
     assert check["name"] == "smooth_check" and not check["passed"]
     assert check["details"] == {"verdict": "singular", "witness": None}
+
+
+def test_xi_command_rejects_singular_variety_before_xi_Z(monkeypatch, capsys, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("xi_Z ran on a singular variety")
+
+    monkeypatch.setattr(cli.xi, "xi_Z", never)
+    path = tmp_path / "union.variety.json"
+    path.write_text(json.dumps({"n": 3, "degree": 3, "f": "x1*(x2^2 + x3^2)"}))
+    code, report = run_json(capsys, "xi", "--variety", str(path), "--seed", "2")
+    assert code == EXIT_REJECTED
+    (check,) = report["checks"]
+    assert check["name"] == "smooth_check" and not check["passed"]
 
 
 def test_xi_command_rejects_variety_above_smoothness_bound(capsys, tmp_path):
@@ -274,9 +288,21 @@ def test_malformed_variety_file(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
-def test_xi_rejects_rational_backend(capsys):
-    code = main(["xi", "--backend", "rational", "--seed", "1"])
-    assert code == EXIT_CONFIG
+def test_xi_rational_backend_is_exact(capsys):
+    code, report = run_json(capsys, "xi", "--backend", "rational", "--seed", "1")
+    assert code == EXIT_OK
+    xiz = {c["name"]: c for c in report["checks"]}["xi_Z"]["details"]
+    assert xiz["dims"] == {"rational": 3} and xiz["dim"] == 3
+    assert xiz["method"] == "ideal_membership" and xiz["proves_xi_V"]
+
+
+def test_certify_twisted_model_rational_backend_is_rejected(capsys):
+    code, report = run_json(capsys, "certify", "--model", "twisted",
+                            "--backend", "rational", "--seed", "5", "--samples", "10")
+    assert code == EXIT_REJECTED
+    dims = {c["name"]: c for c in report["checks"]}["xi_Z_dims"]["details"]
+    assert dims == {"dim": 3, "equal_dims": True}
+    assert certify_details(report)["stage"] == "characteristic_check"
 
 
 def test_scale_vanishing_at_base_is_config_error(capsys):

@@ -1,9 +1,12 @@
 """Tests for the Hom(L^2 V, V) tensor layer and the Xi subspaces.
 
-The Fermat-quartic kernel dimension is cross-checked against a fully
-independent oracle in this file: complete enumeration of the projective
-points over GF(10007) with its own row reduction, sharing no code with
-the package's sampler or linear algebra.
+The exact Xi_Z (ideal membership) is cross-checked against three
+oracles in this file: the sampled kernel over GF(p), built here from
+cone points and tangent vectors, with the same RREF; a sympy Groebner
+basis of (f, grad f . v), modulo which every rational basis tensor's
+G_sigma reduces to 0; and, for the Fermat quartic, complete enumeration
+of the projective points over GF(10007) with its own row reduction,
+sharing no code with the package's sampler or linear algebra.
 """
 
 from __future__ import annotations
@@ -12,12 +15,14 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from coneflat import _modp, xi
+from coneflat import _modp, cone, xi
 from coneflat.coframe import Chart, Coframe, random_polynomial_coframe, \
     structure_function
-from coneflat.funcfield import RatFunc, parse_poly, parse_ratfunc
+from coneflat.funcfield import MultiPoly, RatFunc, parse_poly, parse_ratfunc
 
 VARS3 = ["x1", "x2", "x3"]
 P1, P2 = xi.DEFAULT_PRIMES
@@ -271,19 +276,145 @@ def test_sampling_error_when_every_point_is_singular():
 
 def test_assemble_constraints_annihilate_contraction_image():
     f = fermat_quartic()
-    batch = xi.assemble_xiZ_constraints(f, 15, seed="rows", fieldtag=P1)
+    batch = xi.assemble_xiZ_constraints(f, 15, seed="rows")
     assert len(batch.rows) == 2 * 15  # n - 1 tangent basis vectors per point
     for (u, v), row in zip(batch.provenance, batch.rows):
-        assert f.evaluate_mod(list(u), P1) == 0
-        grad = [4 * pow(c, 3, P1) % P1 for c in u]
-        assert sum(g * w for g, w in zip(grad, v)) % P1 == 0
+        assert abs(f.evaluate(list(u))) < 1e-10
+        grad = [4 * c ** 3 for c in u]
+        assert abs(sum(g * w for g, w in zip(grad, v))) < 1e-9
         assert len(row) == 9
     rng = random.Random(5)
     for _ in range(4):
-        eta = [rng.randrange(P1) for _ in range(3)]
-        vec = xi.iota([Fraction(e) for e in eta]).reduce_mod(P1).coordinates()
+        eta = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
+        vec = xi.iota(eta).to_float().coordinates()
         for row in batch.rows:
+            assert abs(sum(r * c for r, c in zip(row, vec))) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Xi_Z by ideal membership, against a sampled kernel and a Groebner basis
+# ---------------------------------------------------------------------------
+
+# the eight fixed benchmark varieties and the random cubic and quartic
+# drawn by the benchmark for seeds 1 and 2
+BENCH_VARIETIES = [
+    ("fermat_n3_d3", "x1^3 + x2^3 + x3^3"),
+    ("fermat_n3_d4", "x1^4 + x2^4 + x3^4"),
+    ("fermat_n3_d5", "x1^5 + x2^5 + x3^5"),
+    ("fermat_n4_d3", "x1^3 + x2^3 + x3^3 + x4^3"),
+    ("fermat_n4_d4", "x1^4 + x2^4 + x3^4 + x4^4"),
+    ("fermat_n5_d3", "x1^3 + x2^3 + x3^3 + x4^3 + x5^3"),
+    ("klein_quartic", "x1^3*x2 + x2^3*x3 + x3^3*x1"),
+    ("quadric_n4", "x1^2 + x2^2 + x3^2 + x4^2"),
+    ("cubic_seed1", "3*x1^3+3*x1^2*x2+2*x1^2*x3+x1*x2*x3+x1*x3^2-x2^3+2*x2^2*x3"
+                    "+x2*x3^2-x3^3"),
+    ("quartic_seed1", "-3*x1^4-x1^3*x2+x1^3*x3+x1^2*x2^2-3*x1^2*x2*x3+2*x1^2*x3^2"
+                      "+x1*x2^3+2*x1*x2^2*x3+3*x1*x2*x3^2-3*x1*x3^3-2*x2^4-2*x2^3*x3"
+                      "-x2^2*x3^2-x2*x3^3+x3^4"),
+    ("cubic_seed2", "-2*x1^3-x1^2*x2-2*x1^2*x3+x1*x2^2+x1*x3^2+x2^3+2*x2^2*x3"
+                    "-2*x2*x3^2"),
+    ("quartic_seed2", "3*x1^4-x1^3*x2-2*x1^3*x3+2*x1^2*x2*x3+x1^2*x3^2+3*x1*x2^2*x3"
+                      "-3*x1*x2*x3^2-3*x1*x3^3-3*x2^4+3*x2^3*x3+x2^2*x3^2+x2*x3^3"
+                      "-x3^4"),
+]
+
+
+def form(text: str):
+    names = [f"x{i + 1}" for i in range(5) if f"x{i + 1}" in text]
+    return parse_poly(text, names)
+
+
+def sampled_constraint_rref(f, p: int, seed):
+    """The sampled kernel as an oracle: one row grad f(u) . sigma(u, v)
+    per GF(p) cone point u and tangent-basis vector v, over twice as many
+    points as there are tensor coordinates, in RREF."""
+    n = f.nvars
+    rows = []
+    for u, grad in xi.sample_variety_points_modp(f, p, 2 * xi.coordinate_dim(n), seed):
+        for v in _modp.kernel_of_row_mod(grad, p):
+            rows.append([grad[k] * (u[i] * v[j] - u[j] * v[i]) % p
+                         for (k, i, j) in xi.coordinate_triples(n)])
+    return _modp.rref_mod(rows, p)[0]
+
+
+def assert_matches_sampled_kernel(f, seed):
+    space = xi.xi_Z(f, xi.XiConfig(seed=seed))
+    exact = [b.coordinates() for b in space.basis]
+    oracle = sampled_constraint_rref(f, P1, seed)
+    for row in oracle:
+        for vec in exact:
             assert sum(r * c for r, c in zip(row, vec)) % P1 == 0
+    # the annihilator of the exact basis, in RREF
+    annihilator = _modp.kernel_mod(exact, xi.coordinate_dim(f.nvars), P1)
+    assert _modp.rref_mod(annihilator, P1)[0] == oracle
+    return space
+
+
+@pytest.mark.parametrize("name,text", BENCH_VARIETIES, ids=[v[0] for v in BENCH_VARIETIES])
+def test_xi_Z_exact_matches_sampled_kernel_on_bench_varieties(name, text):
+    f = form(text)
+    space = assert_matches_sampled_kernel(f, seed=name)
+    assert space.meta["method"] == "ideal_membership"
+    assert space.meta["stable"] and space.meta["contains_xi_V"]
+    expected = 8 if name == "quadric_n4" else f.nvars
+    assert space.dim == expected
+    assert space.meta["proves_xi_V"] == (expected == f.nvars)
+
+
+def smooth_forms(n: int, d: int):
+    """Fermat plus random integer terms, kept when the Macaulay matrix has
+    full rank mod the first prime, which proves the form smooth."""
+    monomials = cone._monomials(n, d)
+
+    def build(coeffs):
+        terms = {exp: Fraction(c) for exp, c in zip(monomials, coeffs) if c}
+        for i in range(n):
+            exp = tuple(d if k == i else 0 for k in range(n))
+            terms[exp] = terms.get(exp, 0) + 1
+        return MultiPoly(n, terms)
+
+    def smooth(f):
+        if f.is_zero():
+            return False
+        rows, ncols = cone._macaulay_matrix(cone.Hypersurface(f))
+        return _modp.rank(rows, P1) == ncols
+
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials))
+    return coeffs.map(build).filter(smooth)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (4, 4)])
+def test_xi_Z_exact_matches_sampled_kernel_on_random_smooth_forms(n, d):
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(smooth_forms(n, d))
+    def check(f):
+        assert_matches_sampled_kernel(f, seed=f"h{n}{d}")
+
+    check()
+
+
+def test_xi_Z_rational_members_reduce_to_zero_modulo_groebner_basis():
+    sympy = pytest.importorskip("sympy")
+    text = BENCH_VARIETIES[8][1]
+    space = xi.xi_Z(form(text), xi.XiConfig(backend="rational"))
+    assert space.field == "rational" and space.dim == 3
+    u = sympy.symbols("u1:4")
+    v = sympy.symbols("v1:4")
+    f = sympy.sympify(text.replace("^", "**").replace("x", "u"))
+    grad = [sympy.diff(f, x) for x in u]
+    basis = sympy.groebner([f, sum(g * w for g, w in zip(grad, v))], *u, *v,
+                           order="grevlex")
+
+    def g_sigma(t):
+        return sympy.expand(sum(grad[k] * sum(sympy.Rational(t.get(k, i, j)) * u[i] * v[j]
+                                              for i in range(3) for j in range(3))
+                                for k in range(3)))
+
+    for t in space.basis:
+        assert basis.reduce(g_sigma(t))[1] == 0
+    # the Heisenberg tensor is no member
+    assert basis.reduce(g_sigma(xi.HomTensor(3, {(2, 0, 1): Fraction(1)})))[1] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +425,11 @@ def test_xi_Z_fermat_two_primes():
     space = xi.xi_Z(fermat_quartic(), xi.XiConfig(samples=40, seed=1))
     assert space.dim == 3
     assert space.field == P1
+    assert space.meta["method"] == "ideal_membership"
     assert space.meta["stable"]
-    assert space.meta["contains_xi_V"]
+    assert space.meta["contains_xi_V"] and space.meta["proves_xi_V"]
     assert space.meta["dims"] == {str(P1): 3, str(P2): 3}
+    assert not any(key.startswith("samples") for key in space.meta)
 
 
 def test_xi_Z_fermat_float_backend():
@@ -305,6 +438,43 @@ def test_xi_Z_fermat_float_backend():
     assert space.dim == 3
     assert space.field == "float"
     assert space.meta["contains_xi_V"]
+    assert space.meta["stable"]
+
+
+def test_xi_Z_fermat_float_backend_stable_is_checked(monkeypatch):
+    svd = np.linalg.svd
+
+    def one_rank_short(a, *args, **kwargs):
+        # zero the smallest nonzero singular value: one extra kernel vector
+        u, svals, vh = svd(a, *args, **kwargs)
+        svals = svals.copy()
+        svals[np.flatnonzero(svals > 1e-8 * svals[0])[-1]] = 0.0
+        return u, svals, vh
+
+    monkeypatch.setattr(np.linalg, "svd", one_rank_short)
+    space = xi.xi_Z(fermat_quartic(), xi.XiConfig(backend="float", samples=40, seed=2))
+    assert space.dim == 4
+    assert not space.meta["stable"]
+
+
+def test_xi_Z_rational_backend_dimensions():
+    fermat = xi.xi_Z(fermat_quartic(), xi.XiConfig(backend="rational"))
+    assert fermat.field == "rational" and fermat.dim == 3
+    assert fermat.meta["dims"] == {"rational": 3}
+    assert fermat.meta["proves_xi_V"] and fermat.meta["contains_xi_V"]
+    for b in xi.xi_V(3).basis:
+        assert xi.membership(b, fermat).member
+    quadric = xi.xi_Z(form("x1^2 + x2^2 + x3^2 + x4^2"), xi.XiConfig(backend="rational"))
+    assert quadric.dim == 8
+    assert quadric.meta["contains_xi_V"] and not quadric.meta["proves_xi_V"]
+
+
+@pytest.mark.parametrize("text,names", [("x1*(x2^2 + x3^2)", VARS3),
+                                        ("x1^3 + x2^3", ["x1", "x2"])])
+def test_xi_Z_requires_smooth_Z_with_n_at_least_3(text, names):
+    for backend in ("modp", "rational", "float"):
+        with pytest.raises(xi.XiError):
+            xi.xi_Z(parse_poly(text, names), xi.XiConfig(backend=backend))
 
 
 def _oracle_fermat_kernel(p: int = 10007):
