@@ -254,11 +254,12 @@ def cmd_xi(args) -> RunReport:
                verdict=smooth.verdict, witness=smooth.witness)
     if smooth.verdict == "singular":
         return report
-    spanned, span_rank = xi.span_check(z, cfgx)
-    report.add("span_check", spanned, rank=span_rank, expected=z.n)
-    lines_ok, line_rank = xi.tangent_lines_nondegenerate(z, cfgx)
+    spanned, span_rank = xi.span_check(z)
+    report.add("span_check", spanned, rank=span_rank, expected=z.n,
+               method="ideal_membership")
+    lines_ok, line_rank = xi.tangent_lines_nondegenerate(z)
     report.add("tangent_lines_nondegenerate", lines_ok, rank=line_rank,
-               expected=z.n * (z.n - 1) // 2)
+               expected=z.n * (z.n - 1) // 2, method="ideal_membership")
     space = xi.xi_Z(z, cfgx)
     meta = dict(space.meta)
     # xi_Z passes only when its dimension is stable (the same over every

@@ -17,6 +17,13 @@ or over Q; xi_Z raises XiError when the hypotheses fail.  A float
 backend keeps a numerical kernel of constraints at sampled complex cone
 points, checked against the exact dimension.
 
+The same match (membership_matrix, for any bidegree and family of
+target forms) decides the two degeneracy probes exactly over Q: Z spans
+V unless a linear form l(u) is a member (bidegree (1, 0), span_check),
+and the tangent lines span L^2 V unless an antisymmetric form
+omega(u, v) is one (bidegree (1, 1), tangent_lines_nondegenerate).
+Neither probe samples a point.
+
 Tensor coordinates are flattened in the fixed order (k, i < j); every
 matrix in this module uses that layout.
 """
@@ -504,9 +511,9 @@ class ConstraintBatch:
 class XiConfig:
     """backend is "modp" (exact over each prime), "rational" (exact over
     Q) or "float" (a numerical kernel of sampled complex constraints).
-    samples sizes the float backend's sample and the two sampled probes,
-    span_check and tangent_lines_nondegenerate; the exact backends draw
-    no samples."""
+    samples and seed feed only the float backend: they size and seed its
+    sample of complex cone points.  The exact backends and the
+    degeneracy probes draw no samples."""
 
     backend: str = "modp"
     primes: tuple[int, ...] = DEFAULT_PRIMES
@@ -556,64 +563,102 @@ def _smooth_form(z) -> MultiPoly:
     except ConeError as exc:
         raise XiError(f"smoothness of Z is not proved: {exc}") from exc
     if not report:
-        raise XiError("Xi_Z is computed for smooth Z only; this Z is singular")
+        raise XiError("Xi_Z and the degeneracy probes are exact for smooth Z "
+                      "only; this Z is singular")
     return f
 
 
-def membership_matrix(f: MultiPoly) -> list[list[int]]:
-    """The integer coefficient match of
-    G_sigma(u, v) = (c . v) f(u) + (b . u) (grad f(u) . v).
+def _shift(exp: tuple, i: int, by: int = 1) -> tuple:
+    return exp[:i] + (exp[i] + by,) + exp[i + 1:]
 
-    G_sigma = sum_k d_k f(u) sigma^k(u, v) has bidegree (d, 1), so both
-    sides are compared monomial by monomial: one row per u^alpha v_j
-    with |alpha| = d that some term reaches, and the columns
-    [c (n) | b (n) | sigma in coordinate_triples order].  f enters
-    through its integer numerator, which spans the same ideal.
+
+def _unit(n: int, i: int) -> tuple:
+    return _shift((0,) * n, i)
+
+
+def _gradient(f: MultiPoly) -> list[dict]:
+    """The partials d_k f of the integer numerator of f, as {exponent: coefficient}."""
+    return [{_shift(exp, k, -1): a * exp[k] for exp, a in f.coeffs.items() if exp[k]}
+            for k in range(f.nvars)]
+
+
+def membership_matrix(f: MultiPoly, bidegree: tuple[int, int],
+                      target: Sequence[dict]) -> tuple[list[list[int]], int]:
+    """The integer coefficient match of a family of forms T(x) = sum_t
+    x_t T_t of bidegree (e, delta) in (u, v), delta 0 or 1, against the
+    members of that bidegree of the ideal (f, grad f . v):
+
+        T(x) = m(u, v) f(u) + b(u) (grad f(u) . v),
+
+    m of bidegree (e - d, delta), b of bidegree (e - d + 1, 0), and b
+    only when delta = 1.  Each target form is {(alpha, j): coefficient}
+    on the monomials u^alpha v_j, with j None when delta = 0.  Both sides
+    are compared monomial by monomial: one row per monomial that some
+    term reaches, and the columns [m | b | x]; returns (rows, number of
+    columns of the multiplier block [m | b]).  f enters through its
+    integer numerator, which spans the same ideal.
     """
+    from coneflat.cone import _monomials   # cone imports this module
     n = f.nvars
-    pairs = pair_list(n)
-    width = 2 * n + coordinate_dim(n)
+    e, delta = bidegree
+    d = f.total_degree()
+    f_mult = [(beta, j) for j in (range(n) if delta else (None,))
+              for beta in (_monomials(n, e - d) if e >= d else ())]
+    b_mult = _monomials(n, e - d + 1) if delta and e >= d - 1 else []
+    lead = len(f_mult) + len(b_mult)
+    width = lead + len(target)
     rows: dict[tuple, list[int]] = {}
 
-    def add(exp, j, col, coeff):
-        row = rows.get((exp, j))
+    def add(key, col, coeff):
+        row = rows.get(key)
         if row is None:
-            row = rows[(exp, j)] = [0] * width
+            row = rows[key] = [0] * width
         row[col] += coeff
 
-    def shift(exp, i, by=1):
-        return exp[:i] + (exp[i] + by,) + exp[i + 1:]
+    def times(exp, beta):
+        return tuple(a + b for a, b in zip(exp, beta))
 
-    for exp, a in f.coeffs.items():
-        for j in range(n):
-            add(exp, j, j, -a)
-        # the term a * exp[k] * u^(exp - e_k) of d_k f
-        for k in range(n):
-            if not exp[k]:
-                continue
-            g, ak = shift(exp, k, -1), a * exp[k]
-            for i in range(n):
-                add(shift(g, i), k, n + i, -ak)
-            for col, (i, j) in enumerate(pairs, 2 * n + k * len(pairs)):
-                add(shift(g, i), j, col, ak)
-                add(shift(g, j), i, col, -ak)
-    return list(rows.values())
+    for col, (beta, j) in enumerate(f_mult):
+        for exp, a in f.coeffs.items():
+            add((times(exp, beta), j), col, -a)
+    grad = _gradient(f)
+    for col, beta in enumerate(b_mult, len(f_mult)):
+        for k, partial in enumerate(grad):
+            for exp, a in partial.items():
+                add((times(exp, beta), k), col, -a)
+    for col, form in enumerate(target, lead):
+        for key, coeff in form.items():
+            add(key, col, coeff)
+    return list(rows.values()), lead
 
 
-def _sigma_constraints(matrix: list[list[int]], n: int, p: int | None):
-    """Reduce the membership matrix over GF(p), or over Q when p is None;
-    returns (rows, pivots, rank of the (c, b) block).
+def _xi_target(f: MultiPoly) -> list[dict]:
+    """G_sigma = sum_k d_k f(u) sigma^k(u, v) for sigma each basis tensor
+    of coordinate_triples: the bidegree-(d, 1) target of Xi_Z."""
+    target = []
+    for partial in _gradient(f):
+        for (i, j) in pair_list(f.nvars):
+            form = {(_shift(g, i), j): c for g, c in partial.items()}
+            form.update({(_shift(g, j), i): -c for g, c in partial.items()})
+            target.append(form)
+    return target
 
-    The RREF rows whose pivot lies in the sigma block are zero on
-    (c, b), and every other row can be met by a choice of (c, b); so
-    sigma is a member exactly when those rows, restricted to the sigma
-    columns, annihilate it, whatever the rank of the (c, b) block.
+
+def _target_constraints(matrix: list[list[int]], lead: int, p: int | None):
+    """Reduce a membership matrix over GF(p), or over Q when p is None;
+    returns (rows, pivots, rank of the multiplier block), rows and pivots
+    restricted to the target columns.
+
+    The RREF rows whose pivot lies in the target block are zero on the
+    multiplier block, and every other row can be met by a choice of
+    multipliers; so T(x) is a member exactly when those rows annihilate
+    x, whatever the rank of the multiplier block.  Their number is the
+    codimension of the members in the target family.
     """
     if p is None:
         reduced, pivots = _modp.row_reduce([[Fraction(c) for c in row] for row in matrix])
     else:
         reduced, pivots = _modp.rref_mod(matrix, p)
-    lead = 2 * n
     rows = [row[lead:] for row, col in zip(reduced, pivots) if col >= lead]
     cols = [col - lead for col in pivots if col >= lead]
     return rows, cols, len(pivots) - len(cols)
@@ -631,8 +676,8 @@ def _annihilates(rows, vectors, p: int | None) -> bool:
 def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     """Xi_Z of a smooth Z = {f = 0} with n >= 3, exactly by ideal membership
     (see the module docstring): the integer matrix of the match
-    (membership_matrix) is built once, and the sigma constraints are read
-    off its RREF (_sigma_constraints).
+    (membership_matrix, in bidegree (d, 1)) is built once, and the sigma
+    constraints are read off its RREF (_target_constraints).
 
     backend "modp": the kernel over each configured prime.  meta: dims
     per prime; stable, the per-prime dimensions agree; contains_xi_V,
@@ -654,7 +699,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     config = config or XiConfig()
     f = _smooth_form(z)
     n = f.nvars
-    matrix = membership_matrix(f)
+    matrix, lead = membership_matrix(f, (f.total_degree(), 1), _xi_target(f))
     iota = xi_V(n).basis
     meta = {"backend": config.backend, "seed": str(config.seed), "dims": {}, "notes": []}
 
@@ -672,7 +717,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
             < config.tol * max(float(np.linalg.norm(a)), 1.0)
             for b in iota)
         p = config.primes[0]
-        exact = coordinate_dim(n) - len(_sigma_constraints(matrix, n, p)[0])
+        exact = coordinate_dim(n) - len(_target_constraints(matrix, lead, p)[0])
         meta["dims"]["float"] = len(basis)
         meta["contains_xi_V"] = contains
         meta["stable"] = len(basis) == exact
@@ -693,7 +738,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     contains_all = True
     proves = False
     for p in fields:
-        rows, pivots, cb_rank = _sigma_constraints(matrix, n, p)
+        rows, pivots, cb_rank = _target_constraints(matrix, lead, p)
         bases[p] = _modp.kernel_from_rref(rows, pivots, coordinate_dim(n), p)
         iota_vecs = [(b.reduce_mod(p) if p else b).coordinates() for b in iota]
         contains = _annihilates(rows, iota_vecs, p)
@@ -718,31 +763,40 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     return TensorSubspace(n, p0, basis, meta=meta, tol=config.tol)
 
 
+def _member_codimension(f: MultiPoly, bidegree: tuple[int, int], target) -> int:
+    """Codimension of the ideal members in a target family, over Q."""
+    return len(_target_constraints(*membership_matrix(f, bidegree, target), None)[0])
+
+
 def tangent_lines_nondegenerate(z, config: XiConfig | None = None) -> tuple[bool, int]:
-    """Rank of the span of the wedges u ^ v over sampled tangent pairs;
-    nondegenerate when it fills all of L^2 V (rank C(n,2))."""
-    config = config or XiConfig()
-    f = _poly_of(z)
-    n = f.nvars
-    pairs = pair_list(n)
-    p = config.primes[0]
-    rows = []
-    for u, grad in sample_variety_points_modp(z, p, max(config.samples, 2 * len(pairs)),
-                                              f"{config.seed}:w"):
-        for v in _modp.kernel_of_row_mod(grad, p):
-            rows.append([(u[i] * v[j] - u[j] * v[i]) % p for (i, j) in pairs])
-    rank = _modp.rank_mod(rows, p)
-    return rank == len(pairs), rank
+    """Rank of the span of the wedges u ^ v over the tangent pairs of a
+    smooth Z (n >= 3); nondegenerate at C(n, 2).
+
+    C(n, 2) minus the dimension of the antisymmetric forms omega(u, v) =
+    sum_{i<j} omega_ij (u_i v_j - u_j v_i) in the ideal (f, grad f . v),
+    bidegree (1, 1), decided over Q.  For d >= 3 nothing of the ideal has
+    that bidegree, for d = 2 only the multiples of the symmetric
+    grad f(u) . v, so d >= 2 gives full rank.  Raises XiError unless Z is
+    proved smooth; config is unused.
+    """
+    f = _smooth_form(z)
+    target = [{(_unit(f.nvars, i), j): 1, (_unit(f.nvars, j), i): -1}
+              for (i, j) in pair_list(f.nvars)]
+    rank = _member_codimension(f, (1, 1), target)
+    return rank == len(target), rank
 
 
 def span_check(z, config: XiConfig | None = None) -> tuple[bool, int]:
-    """Do sampled cone points span V linearly? (Degenerate Z sits in a
-    hyperplane and fails.)"""
-    config = config or XiConfig()
-    f = _poly_of(z)
+    """Rank of the linear span of the cone of a smooth Z (n >= 3); Z
+    spans V at rank n.
+
+    n minus the dimension of the linear forms l(u) in the ideal
+    (f, grad f . v), bidegree (1, 0), decided over Q.  For d >= 2 nothing
+    of the ideal has that bidegree (f has u-degree d, grad f . v is linear
+    in v), so d >= 2 gives full rank.  Raises XiError unless Z is proved
+    smooth; config is unused.
+    """
+    f = _smooth_form(z)
     n = f.nvars
-    p = config.primes[0]
-    points = sample_variety_points_modp(z, p, max(config.samples, 2 * n),
-                                        f"{config.seed}:span")
-    rank = _modp.rank_mod([list(u) for (u, _) in points], p)
+    rank = _member_codimension(f, (1, 0), [{(_unit(n, i), None): 1} for i in range(n)])
     return rank == n, rank

@@ -97,6 +97,21 @@ def test_xi_command_reports_dimensions(capsys):
     assert xiz["method"] == "ideal_membership" and xiz["proves_xi_V"]
 
 
+@pytest.mark.parametrize("backend", ["modp", "float", "rational"])
+def test_xi_command_samples_no_cone_point_mod_p(monkeypatch, capsys, backend):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coneflat xi drew cone points mod p")
+
+    monkeypatch.setattr(cli.xi, "sample_variety_points_modp", refuse)
+    code, report = run_json(capsys, "xi", "--backend", backend, "--seed", "1")
+    assert code == EXIT_OK
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("span_check", "tangent_lines_nondegenerate"):
+        assert by_name[name]["passed"]
+        assert by_name[name]["details"]["rank"] == 3
+        assert by_name[name]["details"]["method"] == "ideal_membership"
+
+
 def test_xi_command_rejects_an_unstable_xi_Z(monkeypatch, capsys):
     original = cli.xi.xi_Z
 

@@ -6,7 +6,9 @@ cone points and tangent vectors, with the same RREF; a sympy Groebner
 basis of (f, grad f . v), modulo which every rational basis tensor's
 G_sigma reduces to 0; and, for the Fermat quartic, complete enumeration
 of the projective points over GF(10007) with its own row reduction,
-sharing no code with the package's sampler or linear algebra.
+sharing no code with the package's sampler or linear algebra.  The
+exact degeneracy probes are checked against their sampled versions:
+the GF(p) ranks of sampled cone points and of tangent wedges u ^ v.
 """
 
 from __future__ import annotations
@@ -553,13 +555,12 @@ def test_tangent_lines_nondegenerate_fermat():
 
 
 def test_tangent_lines_degenerate_cylinder():
-    # f ignores x3, so u ^ v never has a (1,2)-component on tangent pairs:
-    # in the (x1, x2) plane both u and v are orthogonal to the gradient
-    # (Euler's relation for u), hence parallel, and the wedge vanishes
+    # f ignores x3: four lines through (0 : 0 : 1), singular there, where
+    # the ideal (f, grad f . v) need not be radical; the exact probe
+    # refuses it as xi_Z does
     f = parse_poly("x1^4 - x2^4", VARS3)
-    ok, rank = xi.tangent_lines_nondegenerate(f, xi.XiConfig(samples=20, seed=5))
-    assert not ok
-    assert rank == 2
+    with pytest.raises(xi.XiError, match="singular"):
+        xi.tangent_lines_nondegenerate(f, xi.XiConfig(samples=20, seed=5))
 
 
 def test_span_check_fermat():
@@ -568,13 +569,78 @@ def test_span_check_fermat():
 
 
 def test_span_check_degenerate_union():
-    # over a prime with p % 4 == 3 the factor x2^2 + x3^2 has no nonzero
-    # roots, so the smooth locus lies in the hyperplane x1 = 0
-    assert P1 % 4 == 3
+    # singular where the plane x1 = 0 meets the conic x2^2 + x3^2 = 0, so
+    # the exact probe refuses it.  A rank of 2 was once pinned here: over
+    # GF(p) with p % 4 == 3 the conic has no nonzero points, so the
+    # sampled smooth points lay in x1 = 0.  Over Q-bar the conic is two
+    # lines outside that plane, and the cone spans V.
     f = parse_poly("x1*(x2^2 + x3^2)", VARS3)
-    ok, rank = xi.span_check(f, xi.XiConfig(samples=12, seed=7))
-    assert not ok
-    assert rank == 2
+    with pytest.raises(xi.XiError, match="singular"):
+        xi.span_check(f, xi.XiConfig(samples=12, seed=7))
+
+
+def sampled_probe_ranks(f, p: int, seed) -> tuple[int, int]:
+    """The sampled probes as an oracle: the rank over GF(p) of 2n sampled
+    cone points, and of the wedges u ^ v over 2 C(n, 2) sampled cone
+    points u and a tangent basis v at each."""
+    n = f.nvars
+    pairs = xi.pair_list(n)
+    points = xi.sample_variety_points_modp(f, p, 2 * n, f"{seed}:span")
+    wedges = []
+    for u, grad in xi.sample_variety_points_modp(f, p, 2 * len(pairs), f"{seed}:w"):
+        for v in _modp.kernel_of_row_mod(grad, p):
+            wedges.append([(u[i] * v[j] - u[j] * v[i]) % p for (i, j) in pairs])
+    return _modp.rank_mod([list(u) for u, _ in points], p), _modp.rank_mod(wedges, p)
+
+
+def assert_full_probe_ranks(f):
+    n = f.nvars
+    assert xi.span_check(f) == (True, n)
+    assert xi.tangent_lines_nondegenerate(f) == (True, n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("name,text", BENCH_VARIETIES, ids=[v[0] for v in BENCH_VARIETIES])
+def test_probes_exact_match_sampled_on_bench_varieties(name, text):
+    f = form(text)
+    n = f.nvars
+    assert_full_probe_ranks(f)
+    assert sampled_probe_ranks(f, P1, name) == (n, n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (4, 4)])
+def test_probes_full_rank_on_random_smooth_forms(n, d):
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(smooth_forms(n, d))
+    def check(f):
+        assert_full_probe_ranks(f)
+
+    check()
+
+
+def members(f, bidegree, target) -> list[list]:
+    """A basis over Q of the target coefficient vectors whose forms are
+    members of (f, grad f . v)."""
+    matrix, lead = xi.membership_matrix(f, bidegree, target)
+    rows, pivots, _ = xi._target_constraints(matrix, lead, None)
+    return _modp.kernel_from_rref(rows, pivots, len(target), None)
+
+
+def test_membership_matrix_finds_quadric_gradient_in_bidegree_1_1():
+    # every bilinear form u_i v_j as the target: the members are the
+    # multiples of grad f(u) . v = 2 (u_1 v_1 + ... + u_4 v_4)
+    f = form("x1^2 + x2^2 + x3^2 + x4^2")
+    target = [{(xi._unit(4, i), j): 1} for i in range(4) for j in range(4)]
+    assert members(f, (1, 1), target) == [[int(i == j) for i in range(4) for j in range(4)]]
+
+
+@pytest.mark.parametrize("name,text", BENCH_VARIETIES[:8], ids=[v[0] for v in BENCH_VARIETIES[:8]])
+def test_membership_matrix_finds_no_linear_form(name, text):
+    # d >= 2: no multiplier of f or grad f . v reaches bidegree (1, 0)
+    f = form(text)
+    target = [{(xi._unit(f.nvars, i), None): 1} for i in range(f.nvars)]
+    assert xi.membership_matrix(f, (1, 0), target)[1] == 0
+    assert members(f, (1, 0), target) == []
 
 
 def test_xi_config_rejects_composite():
