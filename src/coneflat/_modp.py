@@ -25,25 +25,13 @@ arithmetic on two scalars.  Its contract with seeded samplers: it
 advances the caller's generator by exactly the Cantor-Zassenhaus draws,
 one ``rng.randrange(p)`` per splitting attempt, in a fixed order.
 
-``poly_roots_block`` solves a block of polynomials, each with its own
-generator, with the same results and the same contract.  It takes x^p
-mod f for the whole block, and then the first splitting probe of every
-linear part of degree >= 3, each in one numpy powering
-(``_powmod_linear_block``); retries, recursion and quadratic factors
-run the scalar code of ``poly_roots`` (``_split``), which a one-row
-numpy powering would slow several times over.  The block powering uses
-int64 arrays when p * p < 2**63, where every intermediate value provably
-fits, and object arrays of Python ints for larger primes.
-
 Internal module: the public API re-exports what callers need.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Sequence
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -177,9 +165,6 @@ def rank(rows: Sequence[Sequence], p: int | None = None) -> int:
     by the forward elimination pass only."""
     mat = [[c % p for c in row] if p else list(row) for row in rows]
     return len(_eliminate(mat, p, below_only=True)[0])
-
-
-rank_mod = rank
 
 
 def kernel_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
@@ -335,103 +320,12 @@ def _powmod_linear(a: int, exp: int, f: Sequence[int], p: int) -> list[int]:
     return g
 
 
-def _powmod_linear_block(shifts: Sequence[int], exp: int, moduli: Sequence[Sequence[int]],
-                         p: int) -> list[list[int]]:
-    """``_powmod_linear(a, exp, f, p)`` for every pair (a, f) of shifts
-    and moduli at once, by one numpy powering of the whole block.
-
-    Each monic f of degree d >= 2 is padded to the block's top degree D
-    as g = x^(D - d) f; since f divides g, the power is taken mod g and
-    reduced mod f at the end.  Per exponent bit the block is squared
-    (an outer product reduced mod p, whose anti-diagonal sums are the
-    square's coefficients), multiplied by x + a on a one bit, and reduced
-    with the precomputed x^k mod g for k = D ... 2D - 1, a fixed number
-    of numpy calls whatever the degrees.  Every product is reduced mod p
-    before anything is added to it, so no intermediate value exceeds
-    p (p - 1) or (D + 1)(p - 1); int64 holds them when p * p < 2**63.
-    Larger primes run the same code on object arrays of Python ints.
-    """
-    rows = len(moduli)
-    top = max(len(f) for f in moduli) - 1
-    dtype = np.int64 if p * p < 2**63 else object
-    # the low coefficients of -g, so that x^D = neg_low mod g
-    neg_low = np.array([[0] * (top + 1 - len(f)) + [-c % p for c in f[:-1]] for f in moduli],
-                       dtype=dtype)
-    # x^k mod g for k = D ... 2D - 1, row k - D
-    xpow = np.zeros((rows, top, top), dtype=dtype)
-    xpow[:, 0] = neg_low
-    for k in range(1, top):
-        prev = xpow[:, k - 1]
-        xpow[:, k, 1:] = prev[:, :-1]
-        xpow[:, k] = (xpow[:, k] + prev[:, -1:] * neg_low) % p
-    a = np.array([c % p for c in shifts], dtype=dtype)[:, None]
-    g = np.zeros((rows, top), dtype=dtype)
-    g[:, :1] = a
-    g[:, 1] = 1
-    # the outer product g g^T goes into the left half of rows of width 2D;
-    # read back with rows of width 2D - 1, its entry (i, j) sits at (i, i + j),
-    # so the column sums are the coefficients of g^2
-    outer = np.zeros((rows, top, 2 * top), dtype=dtype)
-    products = outer[:, :, :top]
-    shifted = outer.reshape(rows, -1)[:, :top * (2 * top - 1)].reshape(rows, top, 2 * top - 1)
-    for bit in bin(exp)[3:]:
-        np.multiply(g[:, :, None], g[:, None, :], out=products)
-        np.remainder(products, p, out=products)
-        sq = shifted.sum(axis=1) % p
-        if bit == "1":
-            # (x + a) g^2, of degree up to 2D - 1
-            times = np.zeros((rows, 2 * top), dtype=dtype)
-            times[:, 1:] = sq
-            times[:, :-1] += a * sq
-            sq = times % p
-        high = sq[:, top:]
-        g = (sq[:, :top] + (high[:, :, None] * xpow[:, :high.shape[1]] % p).sum(axis=1)) % p
-    out = []
-    for f, coeffs in zip(moduli, g.tolist()):
-        d = len(f) - 1
-        if d < top:
-            coeffs = poly_mod(coeffs, f, p)
-            coeffs += [0] * (d - len(coeffs))
-        out.append(coeffs)
-    return out
-
-
-def _monic_part(coeffs: Sequence[int], p: int) -> tuple[list[int] | None, list[int]]:
-    """(f, roots) for the roots that need no splitting: roots holds 0
-    when it is a root, and the root of a linear remainder; f is the
-    monic remainder of degree >= 2 with f(0) != 0, or None."""
-    f = poly_trim([c % p for c in coeffs])
-    roots: list[int] = []
-    if len(f) <= 1:
-        return None, roots
-    if f[0] == 0:
-        roots.append(0)
-        while f[0] == 0:
-            f = f[1:]
-    if len(f) <= 1:
-        return None, roots
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    if len(f) == 2:
-        roots.append(-f[0] % p)
-        return None, roots
-    return f, roots
-
-
-def _linear_part(f: list[int], xp: list[int], p: int) -> list[int]:
-    """gcd(x^p - x, f), the product of the distinct linear factors of f,
-    from xp = x^p mod f."""
-    return poly_gcd([xp[0], (xp[1] - 1) % p] + xp[2:], f, p)
-
-
-def _split(g: list[int], p: int, rng: random.Random, roots: list[int],
-           probe: list[int] | None = None) -> None:
+def _split(g: list[int], p: int, rng: random.Random, roots: list[int]) -> None:
     """Append to roots the roots of g, a monic product of distinct linear
     factors, by equal-degree splitting: for a drawn a, g splits by
     gcd(probe - 1, g) or else gcd(probe + 1, g), where
     probe = (x + a)^((p-1)/2) mod g.  One ``rng.randrange(p)`` per
-    splitting attempt; a given probe is that of the first attempt at a
-    g of degree >= 3, whose a the caller has drawn already."""
+    splitting attempt."""
     deg = len(g) - 1
     if deg == 0:
         return
@@ -464,15 +358,13 @@ def _split(g: list[int], p: int, rng: random.Random, roots: list[int],
                         roots.extend((t, (-c1 - t) % p))
                         return
     while True:
-        if probe is None:
-            probe = _powmod_linear(rng.randrange(p), (p - 1) // 2, g, p)
+        probe = _powmod_linear(rng.randrange(p), (p - 1) // 2, g, p)
         for shift in (-1, 1):
             h = poly_gcd([(probe[0] + shift) % p] + probe[1:], g, p)
             if 0 < len(h) - 1 < deg:
                 _split(h, p, rng, roots)
                 _split(poly_divmod(g, h, p)[0], p, rng, roots)
                 return
-        probe = None
 
 
 def poly_roots(coeffs: Sequence[int], p: int, rng: random.Random | None = None) -> list[int]:
@@ -487,40 +379,18 @@ def poly_roots(coeffs: Sequence[int], p: int, rng: random.Random | None = None) 
     """
     if rng is None:
         rng = random.Random(0x5EED)
-    f, roots = _monic_part(coeffs, p)
-    if f is not None:
-        _split(_linear_part(f, _powmod_linear(0, p, f, p), p), p, rng, roots)
+    f = poly_trim([c % p for c in coeffs])
+    roots: list[int] = []
+    if len(f) > 1 and f[0] == 0:
+        roots.append(0)
+        while f[0] == 0:
+            f = f[1:]
+    if len(f) == 2:
+        roots.append(-f[0] * pow(f[1], -1, p) % p)
+    elif len(f) > 2:
+        inv = pow(f[-1], -1, p)
+        f = [c * inv % p for c in f]
+        # gcd(x^p - x, f), the product of the distinct linear factors of f
+        xp = _powmod_linear(0, p, f, p)
+        _split(poly_gcd([xp[0], (xp[1] - 1) % p] + xp[2:], f, p), p, rng, roots)
     return sorted(roots)
-
-
-def poly_roots_block(polys: Sequence[Sequence[int]], p: int,
-                     rngs: Sequence[random.Random]) -> Iterator[list[int]]:
-    """``poly_roots(polys[k], p, rngs[k])`` for each k, in order, as a
-    lazy iterator.
-
-    On the first step it takes x^p mod f for every polynomial in one
-    ``_powmod_linear_block`` powering, and then the first splitting
-    probe of every linear part of degree >= 3 in a second one, drawing
-    each probe's a from that polynomial's generator.  The rest of each
-    split runs when its item is reached.  Each item, and the state of
-    its generator once the item is produced, equal those of
-    ``poly_roots``; a caller must not draw from rngs[k] between the
-    first step and item k.
-    """
-    staged = [_monic_part(coeffs, p) for coeffs in polys]
-    todo = [k for k, (f, _) in enumerate(staged) if f is not None]
-    linear: dict[int, list[int]] = {}
-    if todo:
-        moduli = [staged[k][0] for k in todo]
-        for k, f, xp in zip(todo, moduli, _powmod_linear_block([0] * len(todo), p, moduli, p)):
-            linear[k] = _linear_part(f, xp, p)
-    probes: dict[int, list[int]] = {}
-    wide = [k for k in todo if len(linear[k]) > 3] if p > 2 else []
-    if wide:
-        shifts = [rngs[k].randrange(p) for k in wide]
-        moduli = [linear[k] for k in wide]
-        probes = dict(zip(wide, _powmod_linear_block(shifts, (p - 1) // 2, moduli, p)))
-    for k, (f, roots) in enumerate(staged):
-        if f is not None:
-            _split(linear[k], p, rngs[k], roots, probes.get(k))
-        yield sorted(roots)

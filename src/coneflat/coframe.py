@@ -93,33 +93,23 @@ class Chart:
 
 
 def draw_seeded(draw, count: int, seed, tag: str, limit: int, error: type[Exception],
-                message: str, block: bool = False) -> list:
+                message: str) -> list:
     """Seeded rejection sampling shared by every sampler in the package.
 
     Candidate index i gets its own generator, seeded with
     f"{seed}:{tag}{i}", so accepted draws do not depend on how many
     earlier candidates were rejected.  draw(rng) returns a sample or
-    None to reject the candidate.  With block set, draw instead takes
-    the generators of a block of consecutive candidates and returns an
-    iterator over their outcomes in index order, which is consumed
-    lazily: the draw stops at the count-th sample.  A block holds
-    max(16, 2 * (count - found)) candidates, capped at limit; as each
-    candidate has its own generator and acceptance is in index order,
-    the samples do not depend on the block size.  Stops after count
-    samples or limit candidates; a shortfall raises error with message
-    formatted with found, count and limit.
+    None to reject the candidate.  Stops after count samples or limit
+    candidates; a shortfall raises error with message formatted with
+    found, count and limit.
     """
     found = []
     index = 0
     while len(found) < count and index < limit:
-        size = min(max(16, 2 * (count - len(found))), limit - index) if block else 1
-        rngs = [random.Random(f"{seed}:{tag}{i}") for i in range(index, index + size)]
-        for sample in draw(rngs) if block else map(draw, rngs):
-            index += 1
-            if sample is not None:
-                found.append(sample)
-                if len(found) == count:
-                    break
+        sample = draw(random.Random(f"{seed}:{tag}{index}"))
+        index += 1
+        if sample is not None:
+            found.append(sample)
     if len(found) < count:
         raise error(message.format(found=len(found), count=count, limit=limit))
     return found

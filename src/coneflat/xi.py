@@ -199,7 +199,7 @@ class TensorSubspace:
         rows = [b.coordinates() for b in self.basis]
         if rows:
             if isinstance(fieldtag, int):
-                rank = _modp.rank_mod(rows, fieldtag)
+                rank = _modp.rank(rows, fieldtag)
             elif fieldtag == "rational":
                 rank = len(_modp.row_reduce(
                     [[Fraction(v) for v in row] for row in rows])[1])
@@ -393,32 +393,24 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
     univariate polynomial by exact root finding, and rejects the zero
     vector and points where the gradient vanishes.  Deterministic for a
     fixed seed: candidate index idx uses generator seed f"{seed}:u{idx}".
-    Candidates are drawn in blocks (``draw_seeded`` with block set):
-    the lines of a block are solved together by
-    ``_modp.poly_roots_block`` and accepted lazily in index order, so
-    the points do not depend on the block size and equal those of
-    solving one candidate at a time with ``_modp.poly_roots``.
     """
     f = _poly_of(z)
     n = f.nvars
     f_mod = f.reduce_mod_prime(p)
     grads = [f.diff(i).reduce_mod_prime(p) for i in range(n)]
 
-    def line(rng):
+    def draw(rng):
         free = rng.randrange(n)
         vals = [rng.randrange(p) for _ in range(n)]
-        deg = f.degree_in(free)
-        coeffs = [0] * (deg + 1)
+        coeffs = [0] * (f.degree_in(free) + 1)
         for exp, coeff in f_mod.items():
             term = coeff
             for i, e in enumerate(exp):
                 if i != free and e:
                     term = term * pow(vals[i], e, p) % p
             coeffs[exp[free]] = (coeffs[exp[free]] + term) % p
-        return free, vals, coeffs
-
-    def accept(free, vals, coeffs, rng, roots):
         if any(coeffs):
+            roots = _modp.poly_roots(coeffs, p, rng)
             if not roots:
                 return None
             root = roots[rng.randrange(len(roots))]
@@ -433,15 +425,8 @@ def sample_variety_points_modp(z, p: int, count: int, seed) -> list[tuple[tuple[
             return None
         return tuple(u), grad
 
-    def draw(rngs):
-        lines = [line(rng) for rng in rngs]
-        solved = _modp.poly_roots_block([coeffs for _, _, coeffs in lines], p, rngs)
-        return (accept(free, vals, coeffs, rng, roots)
-                for (free, vals, coeffs), rng, roots in zip(lines, rngs, solved))
-
     return draw_seeded(draw, count, seed, "u", max(count * 150, 64), VarietySamplingError,
-                       f"found {{found}} of {{count}} cone points mod {p} after {{limit}} tries",
-                       block=True)
+                       f"found {{found}} of {{count}} cone points mod {p} after {{limit}} tries")
 
 
 def sample_variety_points_complex(z, count: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -768,7 +753,7 @@ def _member_codimension(f: MultiPoly, bidegree: tuple[int, int], target) -> int:
     return len(_target_constraints(*membership_matrix(f, bidegree, target), None)[0])
 
 
-def tangent_lines_nondegenerate(z, config: XiConfig | None = None) -> tuple[bool, int]:
+def tangent_lines_nondegenerate(z) -> tuple[bool, int]:
     """Rank of the span of the wedges u ^ v over the tangent pairs of a
     smooth Z (n >= 3); nondegenerate at C(n, 2).
 
@@ -777,7 +762,7 @@ def tangent_lines_nondegenerate(z, config: XiConfig | None = None) -> tuple[bool
     bidegree (1, 1), decided over Q.  For d >= 3 nothing of the ideal has
     that bidegree, for d = 2 only the multiples of the symmetric
     grad f(u) . v, so d >= 2 gives full rank.  Raises XiError unless Z is
-    proved smooth; config is unused.
+    proved smooth.
     """
     f = _smooth_form(z)
     target = [{(_unit(f.nvars, i), j): 1, (_unit(f.nvars, j), i): -1}
@@ -786,7 +771,7 @@ def tangent_lines_nondegenerate(z, config: XiConfig | None = None) -> tuple[bool
     return rank == len(target), rank
 
 
-def span_check(z, config: XiConfig | None = None) -> tuple[bool, int]:
+def span_check(z) -> tuple[bool, int]:
     """Rank of the linear span of the cone of a smooth Z (n >= 3); Z
     spans V at rank n.
 
@@ -794,7 +779,7 @@ def span_check(z, config: XiConfig | None = None) -> tuple[bool, int]:
     (f, grad f . v), bidegree (1, 0), decided over Q.  For d >= 2 nothing
     of the ideal has that bidegree (f has u-degree d, grad f . v is linear
     in v), so d >= 2 gives full rank.  Raises XiError unless Z is proved
-    smooth; config is unused.
+    smooth.
     """
     f = _smooth_form(z)
     n = f.nvars

@@ -12,7 +12,7 @@ from coneflat._modp import (
     poly_gcd,
     poly_mul,
     poly_roots,
-    rank_mod,
+    rank,
     rref_mod,
     solve_mod,
 )
@@ -56,7 +56,7 @@ def test_rank_and_kernel_dimensions_random():
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-        r = rank_mod(rows, p)
+        r = rank(rows, p)
         basis = kernel_mod(rows, ncols, p)
         assert r + len(basis) == ncols
         for vec in basis:

@@ -13,6 +13,7 @@ the GF(p) ranks of sampled cone points and of tangent wedges u ^ v.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -257,6 +258,71 @@ def test_sample_variety_points_modp_properties():
     assert pts == again
     other = xi.sample_variety_points_modp(f, P1, 20, seed="t")
     assert pts != other
+
+
+# sha256 of repr(sample_variety_points_modp(f, p, count, "blk")): any move of
+# a sampled point, or of the generator draws of poly_roots, changes them
+PINNED_SAMPLE_DIGESTS = {
+    ("fermat_quartic", 2147483647, 1): "e1c157f346b5e15c686692895fa8a3b049851ae09cfe7f5e1886f0731a063a22",
+    ("fermat_quartic", 2147483647, 3): "dc60953d05b93441da83942bae2db03a121a4e07d7d3ac576fd804a5e3d5771d",
+    ("fermat_quartic", 2147483647, 50): "3dbea003cae144d0ef55e7dedc4779728d6aa20aa576652c4b920af188a7e4b5",
+    ("fermat_quartic", 2147483629, 1): "757335c430d1274e53b0f5bbabdb5ba66a124ac8c0975e6292692e903999ee19",
+    ("fermat_quartic", 2147483629, 3): "ff08c555e04eabb09a02defa830e66f8fb777d661f6ed7fd0c4e3e5ee54ec876",
+    ("fermat_quartic", 2147483629, 50): "b1fc04e1ddc29e9116f32b8866100518e2c35a2e40abde0d0ec2d97503221407",
+    ("fermat_quartic", 10007, 1): "7fc61618d9400570d18d367fc11259c7ef3fadc0606e2b1dd2f555d72117cf25",
+    ("fermat_quartic", 10007, 3): "6464536a04955394344126a8e222f782b093db1602a2c444d64786558c90b5eb",
+    ("fermat_quartic", 10007, 50): "ccb3d3a73bb4c9bcde6da3cb3e9c1de470d9bdb3460146059888ebdec8258d01",
+    ("fermat_quartic", 2305843009213693951, 1): "be0b87d644e9e60271c605e6997952f1236f85227175a8be578dc4a87120f862",
+    ("fermat_quartic", 2305843009213693951, 3): "79955e554c27eda7635d358d474cf8a909bff45b4ab5ea88f015d5f20a3e4875",
+    ("fermat_quartic", 2305843009213693951, 50): "3dca3212db9f5c4bb9eb67a8f59668f2a1ec9a13600f165a2da1c12371241bf8",
+    ("random_cubic", 2147483647, 1): "3f99859ec0f520bf4c87fca7f135b056321b5624b3da80fa0e08bea8a99575bf",
+    ("random_cubic", 2147483647, 3): "018538a1e78160675842f77d6504c9048bfea54c2ca9a81323bf8c875d0c4731",
+    ("random_cubic", 2147483647, 50): "70523ffb46a23ed149fd697c2414cd5ce92d222501853ea3b41d4870fc06ef6c",
+    ("random_cubic", 2147483629, 1): "f67f3d2eff395e60aa21c31925ecd709102038f50a8a3b90977f0df581595978",
+    ("random_cubic", 2147483629, 3): "c98d15c279e7c2bdf5a09171ecbdf14b248d0be38fcbfbb253bf2c30b86328ff",
+    ("random_cubic", 2147483629, 50): "ef429eeeda15fc487043d563e66d0a59f9de6fe5cdc26e4853f18b95cb1cb8cc",
+    ("random_cubic", 10007, 1): "113bd14951d1d6ecd7e7e5496ae7bd36234092136e46d079e3938148eaa7bd5f",
+    ("random_cubic", 10007, 3): "fc11a6e660280fffe5850ce3006489db749d5d37380509ccf7709bab2bd2ab47",
+    ("random_cubic", 10007, 50): "f80571e6ef5fa18575920a9863142c1f61737e82dcd8871482d0ba2fac62c197",
+    ("random_cubic", 2305843009213693951, 1): "e532ad2e440823c1bd39a6e2e73d1736123d49ee8b2ee9c3288b960332c3062c",
+    ("random_cubic", 2305843009213693951, 3): "47938efa2625387411f4bded46ec6b490425aabc77c9b8370abb309dcfa077e7",
+    ("random_cubic", 2305843009213693951, 50): "bedb36ef4c1052f5dfe36f1803ed2ff1c799163c6c1d87f0a0c591ec16040aaa",
+}
+
+
+def random_cubic():
+    rng = random.Random("block-cubic")
+    terms = []
+    for a in range(4):
+        for b in range(4 - a):
+            terms.append(f"{rng.randint(-5, 5)}*x1^{a}*x2^{b}*x3^{3 - a - b}")
+    return parse_poly(" + ".join(terms), VARS3)
+
+
+@pytest.mark.parametrize("variety,p,count", list(PINNED_SAMPLE_DIGESTS),
+                         ids=[f"{v}-{p}-{c}" for v, p, c in PINNED_SAMPLE_DIGESTS])
+def test_sampled_points_match_pinned_digests(variety, p, count):
+    f = fermat_quartic() if variety == "fermat_quartic" else random_cubic()
+    points = xi.sample_variety_points_modp(f, p, count, "blk")
+    assert len(points) == count
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == \
+        PINNED_SAMPLE_DIGESTS[variety, p, count]
+
+
+def test_sampler_stops_at_the_limit_with_the_message(monkeypatch):
+    # every point of x1^4 = 0 has a zero gradient, so every candidate fails
+    solved = []
+    real = _modp.poly_roots
+
+    def counting(coeffs, p_, rng):
+        solved.append(coeffs)
+        return real(coeffs, p_, rng)
+
+    monkeypatch.setattr(_modp, "poly_roots", counting)
+    with pytest.raises(xi.VarietySamplingError) as excinfo:
+        xi.sample_variety_points_modp(parse_poly("x1^4", VARS3), P1, 5, seed=0)
+    assert str(excinfo.value) == f"found 0 of 5 cone points mod {P1} after 750 tries"
+    assert len(solved) == 750
 
 
 def test_sample_variety_points_complex():
@@ -549,8 +615,7 @@ def test_xi_Z_matches_brute_force_enumeration():
 # ---------------------------------------------------------------------------
 
 def test_tangent_lines_nondegenerate_fermat():
-    ok, rank = xi.tangent_lines_nondegenerate(fermat_quartic(),
-                                              xi.XiConfig(samples=20, seed=4))
+    ok, rank = xi.tangent_lines_nondegenerate(fermat_quartic())
     assert ok and rank == 3
 
 
@@ -560,11 +625,11 @@ def test_tangent_lines_degenerate_cylinder():
     # refuses it as xi_Z does
     f = parse_poly("x1^4 - x2^4", VARS3)
     with pytest.raises(xi.XiError, match="singular"):
-        xi.tangent_lines_nondegenerate(f, xi.XiConfig(samples=20, seed=5))
+        xi.tangent_lines_nondegenerate(f)
 
 
 def test_span_check_fermat():
-    ok, rank = xi.span_check(fermat_quartic(), xi.XiConfig(samples=12, seed=6))
+    ok, rank = xi.span_check(fermat_quartic())
     assert ok and rank == 3
 
 
@@ -576,7 +641,7 @@ def test_span_check_degenerate_union():
     # lines outside that plane, and the cone spans V.
     f = parse_poly("x1*(x2^2 + x3^2)", VARS3)
     with pytest.raises(xi.XiError, match="singular"):
-        xi.span_check(f, xi.XiConfig(samples=12, seed=7))
+        xi.span_check(f)
 
 
 def sampled_probe_ranks(f, p: int, seed) -> tuple[int, int]:
@@ -590,7 +655,7 @@ def sampled_probe_ranks(f, p: int, seed) -> tuple[int, int]:
     for u, grad in xi.sample_variety_points_modp(f, p, 2 * len(pairs), f"{seed}:w"):
         for v in _modp.kernel_of_row_mod(grad, p):
             wedges.append([(u[i] * v[j] - u[j] * v[i]) % p for (i, j) in pairs])
-    return _modp.rank_mod([list(u) for u, _ in points], p), _modp.rank_mod(wedges, p)
+    return _modp.rank([list(u) for u, _ in points], p), _modp.rank(wedges, p)
 
 
 def assert_full_probe_ranks(f):
