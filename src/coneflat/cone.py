@@ -3,9 +3,10 @@
 An adapted coframe omega on a chart M turns a hypersurface Z in P(V)
 into the field of cones C_x = {[y] : f(A(x) y) = 0} inside P T(M).
 This module builds that presentation, samples points of the cones
-exactly over prime fields or numerically over the complex numbers, and
-runs the two dynamical checks relating the geodesic flow to the
-structure tensor: flow tangency and the double-bracket identity.
+exactly over prime fields, runs the two dynamical checks relating the
+geodesic flow to the structure tensor (flow tangency and the
+double-bracket identity), and decides whether the structure function
+takes values in Xi_Z, as rational-function identities over Q.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from coneflat import _modp, xi
-from coneflat.coframe import Chart, Coframe, draw_seeded, float_points, \
-    sample_points, tangent_dual_frame  # noqa: F401  (perfbench traces it here)
+from coneflat.coframe import Chart, Coframe, draw_seeded, sample_points, \
+    tangent_dual_frame  # noqa: F401  (perfbench traces it here)
 from coneflat.funcfield import MultiPoly, PoleError, RatFunc, parse_poly
 
 
@@ -41,7 +40,8 @@ class Hypersurface:
 
     Degree 1 is excluded: a hyperplane has no tangent-cone content and
     the downstream theory assumes non-linearity.  smoothness (see
-    smooth_check) is computed on first read and is read-only.
+    smooth_check) and xi_constraints are computed on first read and are
+    read-only.
     """
 
     def __init__(self, f: MultiPoly, degree: int | None = None):
@@ -62,6 +62,7 @@ class Hypersurface:
         self.n = f.nvars
         self.degree = d
         self._smoothness: SmoothnessReport | None = None
+        self._xi_constraints: list | None = None
 
     @property
     def smoothness(self) -> SmoothnessReport:
@@ -69,6 +70,15 @@ class Hypersurface:
         if self._smoothness is None:
             self._smoothness = _macaulay_smoothness(self)
         return self._smoothness
+
+    @property
+    def xi_constraints(self) -> list[list[Fraction]]:
+        """The rows over Q that cut Xi_Z out of Hom(L^2 V, V), in
+        coordinate_triples order (xi.xi_constraints)."""
+        if self._xi_constraints is None:
+            [(rows, _, _)] = xi.xi_constraints(self.f)
+            self._xi_constraints = rows
+        return self._xi_constraints
 
     def gradient(self) -> list[MultiPoly]:
         return [self.f.diff(i) for i in range(self.n)]
@@ -255,21 +265,15 @@ def adapted_cone(cf: Coframe, z: Hypersurface) -> ConeStructure:
 # ---------------------------------------------------------------------------
 
 def sample_cone(cs: ConeStructure, count: int, seed, field=None) -> list[tuple[tuple, tuple]]:
-    """Points (x, y) with F(x, y) = 0: exact over a prime field, or
-    complex with |F| < 1e-12 after a Newton polish.
+    """Points (x, y) with F(x, y) = 0 over the prime field GF(field),
+    by default that of the first standard sampling prime.
 
-    field is a prime (default the first standard sampling prime) or the
-    string "float".  The y fiber point is B(x) u for a sampled cone
-    point u of Z, so the prime-field samples satisfy the cone equation
-    identically.
+    The y fiber point is B(x) u for a sampled cone point u of Z, so the
+    samples satisfy the cone equation identically.
     """
-    if field is None:
-        field = xi.DEFAULT_PRIMES[0]
+    p = int(field or xi.DEFAULT_PRIMES[0])
     n = cs.n
     frame = cs.coframe.dual
-    if field == "float":
-        return _sample_cone_float(cs, frame, count, seed)
-    p = int(field)
     upoints = xi.sample_variety_points_modp(cs.z.f, p, count, f"{seed}:u")
 
     def place(rng, u, grad):
@@ -299,39 +303,6 @@ def sample_cone(cs: ConeStructure, count: int, seed, field=None) -> list[tuple[t
     return out
 
 
-def _sample_cone_float(cs: ConeStructure, frame, count: int, seed):
-    n = cs.n
-    upoints = xi.sample_variety_points_complex(cs.z.f, count, f"{seed}:u")
-    xs = float_points(cs.coframe.chart, count, f"{seed}:x",
-                      avoid=cs.coframe.pole_polynomials())
-    grads = cs.z.gradient()
-    out = []
-    for idx, ((u, _), x) in enumerate(zip(upoints, xs)):
-        xlist = list(x)
-        bvals = np.array([[complex(frame.matrix[j][a].evaluate(xlist))
-                           for a in range(n)] for j in range(n)])
-        avals = np.array([[complex(cs.coframe.a[k][j].evaluate(xlist))
-                           for j in range(n)] for k in range(n)])
-        y = bvals @ np.array(u)
-        # one Newton step for the fiber equation f(A(x) y) = 0
-        for _ in range(2):
-            mu = avals @ y
-            fval = cs.z.f.evaluate(list(mu))
-            if abs(fval) < 1e-13:
-                break
-            gradf = np.array([g.evaluate(list(mu)) for g in grads])
-            gy = gradf @ avals
-            denom = float(np.sum(np.abs(gy) ** 2))
-            if denom < 1e-20:
-                break
-            y = y - fval / denom * np.conj(gy)
-        mu = avals @ y
-        if abs(cs.z.f.evaluate(list(mu))) > 1e-12:
-            raise ConeSamplingError(f"Newton polish failed at sample {idx}")
-        out.append((tuple(xlist), tuple(complex(v) for v in y)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dynamical checks
 # ---------------------------------------------------------------------------
@@ -352,7 +323,6 @@ class TangencyReport:
 @dataclass
 class BracketReport:
     verdict: bool
-    mode: str
     identity_exact: bool
     samples: int = 0
     residuals: list = field(default_factory=list)
@@ -432,99 +402,58 @@ def _bracket_identity_symbolic(cs: ConeStructure, db_fields) -> bool:
 
 
 def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0,
-                         mode: str = "exact", tol: float = 1e-8,
                          prime: int | None = None) -> BracketReport:
-    """Check omega(d pi([[v-tilde, gamma], gamma])) = sigma(u, v) at cone
-    samples, where u = A(x) y and v is fiber-tangent at u.
+    """Check omega(d pi([[v-tilde, gamma], gamma])) = sigma(u, v), where
+    u = A(x) y and v is fiber-tangent at u.
 
     v-tilde is the vertical lift of the constant extension of v through
     the lambda-frame; since the coefficients are constant, the double
     bracket is the matching constant combination of the per-axis fields
     [[(D_lambda)_a, gamma], gamma], whose dx-components are computed once
-    symbolically.
-    The same identity is also verified once as rational functions
-    (identity_exact).  Exact mode evaluates over a prime field on exact
-    cone points; float mode uses complex samples and a relative
-    tolerance.  An exact sample that meets a pole is dropped and counted
-    in details["pole_drops"].  When the induced coframe fails the bracket
+    symbolically.  The identity is verified as rational functions
+    (identity_exact) and evaluated over GF(prime) at exact cone samples.
+    A sample that meets a pole is dropped and counted in
+    details["pole_drops"].  When the induced coframe fails the bracket
     identity [(D_lambda)_a, gamma] = (D_theta)_a, the check fails at once,
     with no samples and details["pole_drops"] = 0.
     """
     n = cs.n
     db_fields = _double_bracket_fields(cs)
     if db_fields is None:
-        return BracketReport(verdict=False, mode=mode, identity_exact=False,
+        return BracketReport(verdict=False, identity_exact=False,
                              details={"pole_drops": 0})
     identity_exact = _bracket_identity_symbolic(cs, db_fields)
     struct = cs.structure()
-    report = BracketReport(verdict=identity_exact, mode=mode,
-                           identity_exact=identity_exact)
+    report = BracketReport(verdict=identity_exact, identity_exact=identity_exact)
 
-    if mode == "exact":
-        p = prime or xi.DEFAULT_PRIMES[0]
-        pts = sample_cone(cs, samples, f"{seed}:db", p)
-        residuals = []
-        report.details["pole_drops"] = 0
-        for idx, (x, y) in enumerate(pts):
-            point = list(x) + list(y)
-            try:
-                u = [m.evaluate_mod(point, p) for m in cs.mu]
-                gradu = [g.evaluate_mod(list(u), p) for g in cs.z.gradient()]
-                kernel = _modp.kernel_of_row_mod(gradu, p)
-                v = kernel[idx % len(kernel)]
-                lhs = _bracket_lhs_mod(cs, db_fields, point, v, p)
-                cvals = {key: val.evaluate_mod(list(x), p)
-                         for key, val in struct.components.items()}
-                tensor = xi.HomTensor(n, cvals, p)
-                rhs = tensor.apply(u, v)
-            except PoleError:
-                report.details["pole_drops"] += 1
-                continue
-            res = max((a - b) % p for a, b in zip(lhs, rhs)) if lhs != rhs else 0
-            residuals.append(0 if lhs == rhs else 1)
-            if lhs != rhs and "first_mismatch" not in report.details:
-                report.details["first_mismatch"] = {"x": x, "lhs": lhs, "rhs": rhs,
-                                                    "diff": res}
-        report.samples = len(residuals)
-        report.residuals = residuals
-        report.max_residual = max(residuals, default=0)
-        report.verdict = identity_exact and all(r == 0 for r in residuals)
-        return report
-
-    if mode != "float":
-        raise ConeError(f"unknown bracket-check mode {mode!r}")
-    pts = sample_cone(cs, samples, f"{seed}:db", "float")
+    p = prime or xi.DEFAULT_PRIMES[0]
+    pts = sample_cone(cs, samples, f"{seed}:db", p)
     residuals = []
+    report.details["pole_drops"] = 0
     for idx, (x, y) in enumerate(pts):
-        point = [complex(v) for v in x] + list(y)
-        u = np.array([m.evaluate(point) for m in cs.mu])
-        gradu = np.array([g.evaluate(list(u)) for g in cs.z.gradient()])
-        pivot = int(np.argmax(np.abs(gradu)))
-        choices = [i for i in range(n) if i != pivot]
-        i = choices[idx % len(choices)]
-        v = np.zeros(n, dtype=complex)
-        v[i] = 1.0
-        v[pivot] = -gradu[i] / gradu[pivot]
-        lhs = np.zeros(n, dtype=complex)
-        for a in range(n):
-            if v[a] == 0:
-                continue
-            comp = [c.evaluate(point) for c in db_fields[a]]
-            for k in range(n):
-                row = sum(complex(cs.induced.matrix[k][j].evaluate(point)) * comp[j]
-                          for j in range(n))
-                lhs[k] += v[a] * row
-        cvals = {key: complex(val.evaluate(list(x)))
-                 for key, val in struct.components.items()}
-        tensor = xi.HomTensor(n, cvals, "float")
-        rhs = np.array(tensor.apply(list(u), list(v)))
-        scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        res = float(np.max(np.abs(lhs - rhs))) / scale
-        residuals.append(res)
+        point = list(x) + list(y)
+        try:
+            u = [m.evaluate_mod(point, p) for m in cs.mu]
+            gradu = [g.evaluate_mod(list(u), p) for g in cs.z.gradient()]
+            kernel = _modp.kernel_of_row_mod(gradu, p)
+            v = kernel[idx % len(kernel)]
+            lhs = _bracket_lhs_mod(cs, db_fields, point, v, p)
+            cvals = {key: val.evaluate_mod(list(x), p)
+                     for key, val in struct.components.items()}
+            tensor = xi.HomTensor(n, cvals, p)
+            rhs = tensor.apply(u, v)
+        except PoleError:
+            report.details["pole_drops"] += 1
+            continue
+        res = max((a - b) % p for a, b in zip(lhs, rhs)) if lhs != rhs else 0
+        residuals.append(0 if lhs == rhs else 1)
+        if lhs != rhs and "first_mismatch" not in report.details:
+            report.details["first_mismatch"] = {"x": x, "lhs": lhs, "rhs": rhs,
+                                                "diff": res}
     report.samples = len(residuals)
     report.residuals = residuals
-    report.max_residual = max(residuals, default=0.0)
-    report.verdict = identity_exact and all(r < tol for r in residuals)
+    report.max_residual = max(residuals, default=0)
+    report.verdict = identity_exact and all(r == 0 for r in residuals)
     return report
 
 
@@ -543,43 +472,50 @@ def _bracket_lhs_mod(cs: ConeStructure, db_fields, point, v, p: int) -> list[int
 
 
 def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
-                         samples: int = 25, seed=0,
-                         tol: float = 1e-8) -> CharacteristicReport:
-    """Evaluate the structure tensor at chart samples and test membership
-    in Xi_Z; the necessary pointwise condition for the geodesic flow to
-    define a characteristic connection.
+                         samples: int = 25, seed=0) -> CharacteristicReport:
+    """Decide, by identities over Q, whether the structure tensor takes
+    values in Xi_Z: the condition for the geodesic flow to define a
+    characteristic connection.
 
-    The witness residual for a failing sample is the exact Euclidean
-    distance from the evaluated tensor to the contraction image Xi_V
-    (converted to float).  When dim Xi_Z = dim Xi_V and Xi_V is
-    contained in Xi_Z, that distance equals the distance to Xi_Z itself;
-    otherwise it is reported under the same label but is only an upper
-    bound certificate of nonmembership in Xi_V.
+    Each row of cs.z.xi_constraints, applied to the structure function's
+    components in coordinate_triples order, is a linear combination of
+    rational functions.  The tensor lies in Xi_Z at every point exactly
+    when all of them are zero; then no point is drawn.  xiZ enters only
+    through its dimension check, whatever its field.
+
+    When a combination is nonzero the check fails, and the samples chart
+    points seeded f"{seed}:chi" (report.samples, drawn only then) are
+    scanned: failures lists each point where the evaluated tensor leaves
+    Xi_Z, with its residual, and the witness is the first of them (None
+    if the nonzero combinations vanish at every scanned point).  The
+    residual is the exact Euclidean distance from the evaluated tensor to
+    the contraction image Xi_V (converted to float).  When dim Xi_Z =
+    dim Xi_V and Xi_V is contained in Xi_Z, that distance equals the
+    distance to Xi_Z itself; otherwise it is reported under the same
+    label but is only an upper bound certificate of nonmembership in
+    Xi_V.
     """
     if xiZ.n != cs.n:
         raise ConeError("Xi_Z subspace has wrong dimension")
     struct = cs.structure()
+    rows = cs.z.xi_constraints
+    comps = [struct.components.get(t) for t in xi.coordinate_triples(cs.n)]
+    zero = RatFunc.const(cs.n, 0)
+    exact = all(sum((c * comp for c, comp in zip(row, comps) if c and comp is not None),
+                    zero).is_zero() for row in rows)
+    report = CharacteristicReport(
+        verdict=exact, backend=xiZ.field, samples=samples,
+        details={"residual_metric": "euclidean distance to the contraction image"})
+    if exact:
+        return report
     xs = sample_points(cs.coframe.chart, samples, f"{seed}:chi",
                        avoid=cs.coframe.pole_polynomials())
     xiv = xi.xi_V(cs.n)
-    report = CharacteristicReport(verdict=True, backend=xiZ.field)
     for x in xs:
         tensor = xi.HomTensor(cs.n, struct.evaluate_at(x))
-        if isinstance(xiZ.field, int):
-            member = xi.membership(tensor.reduce_mod(xiZ.field), xiZ).member
-        elif xiZ.field == "float":
-            member = xi.membership(tensor.to_float(), xiZ, tol=tol).member
-        else:
-            member = xi.membership(tensor, xiZ).member
-        report.samples += 1
-        if not member:
-            dist_sq = xi.membership(tensor, xiv).residual
-            residual = math.sqrt(float(dist_sq))
+        if not xi._annihilates(rows, [tensor.coordinates()], None):
+            residual = math.sqrt(float(xi.membership(tensor, xiv).residual))
             report.failures.append((x, residual))
-            if report.witness is None:
-                report.witness = x
-                report.witness_residual = residual
-    report.verdict = not report.failures
-    report.details["residual_metric"] = \
-        "euclidean distance to the contraction image"
+    if report.failures:
+        report.witness, report.witness_residual = report.failures[0]
     return report

@@ -1,12 +1,15 @@
 """Flatness certification for cone structures given by adapted coframes.
 
-Pipeline: pointwise characteristic membership, exact conformal
-closedness of the coframe, integration of the trace covector to a
-potential h, the conformal factor f = e^{-h}, and flat coordinates with
-d zeta = f omega.  Everything stays in exact arithmetic while the
-potential is a rational-log combination; identities that are theorems
-at that point are still re-verified, and a violation raises
-InternalIdentityError instead of producing a wrong certificate.
+Pipeline: membership of the structure function in Xi_Z and conformal
+closedness of the coframe, both decided as rational-function identities
+over Q; integration of the trace covector to a potential h; the
+conformal factor f = e^{-h}; and flat coordinates with d zeta = f omega.
+Everything stays in exact arithmetic while the potential is a
+rational-log combination; identities that are theorems at that point
+are still re-verified exactly, and a violation raises
+InternalIdentityError instead of producing a wrong certificate.  A
+quadrature-backed potential is checked in floating point against a
+stated tolerance (conformal_factor).  No stage samples the cone.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from coneflat.coframe import (
     float_points,
     sample_points,
 )
-from coneflat.cone import ConeStructure, characteristic_check, sample_cone
+from coneflat.cone import ConeStructure, characteristic_check
 from coneflat.funcfield import PoleError, RatFunc
 
 
@@ -223,8 +226,12 @@ def conformal_factor(cf: Coframe, h: HPotential, validation_samples: int = 20,
 
     Rational f: d(f omega) = 0 is verified exactly, residual 0.  Other
     representations: the residual of d(f omega), written through
-    df = -f dh, is evaluated in floating point at pole-free samples;
-    exceeding the tolerance means the pipeline itself is broken.
+    df = -f dh, is evaluated in floating point at pole-free samples, and
+    so is h's quadrature there, on two paths from the base point.  Both
+    the residual and the largest two-path discrepancy of h must stay
+    within tol (certify passes CertifyConfig.validation_tol, 1e-9 by
+    default); exceeding it means the pipeline itself is broken and
+    raises InternalIdentityError.
     """
     n = cf.n
     base = cf.chart.base_point
@@ -264,6 +271,10 @@ def conformal_factor(cf: Coframe, h: HPotential, validation_samples: int = 20,
     if worst > tol:
         raise InternalIdentityError(
             f"d(f omega) residual {worst:.3e} above tolerance {tol:.1e}")
+    paths = h.grid.max_path_residual() if h.grid is not None else 0.0
+    if paths > tol:
+        raise InternalIdentityError(
+            f"two-path discrepancy of h {paths:.3e} above tolerance {tol:.1e}")
     return ConformalFactor("numeric", None, h, max_residual=worst,
                            samples=len(points),
                            details={"verification":
@@ -293,9 +304,6 @@ class FlatChart:
     mode: str                          # "symbolic" | "grid" | "mixed"
     components: tuple
     jacobian_base: list
-    cone_product_residual: float | None = None
-    max_path_residual: float = 0.0
-    samples: int = 0
     details: dict = field(default_factory=dict)
 
     def evaluate(self, point) -> list[float]:
@@ -316,25 +324,16 @@ class FlatChart:
         return out
 
 
-def _differential_at(cf: Coframe, factor: ConformalFactor, xf: list[float]):
-    n = cf.n
-    fval = factor.evaluate(xf)
-    return [[fval * float(cf.a[k][j].evaluate(xf)) for j in range(n)]
-            for k in range(n)]
-
-
 def flat_coordinates(cf: Coframe, factor: ConformalFactor,
-                     cs: ConeStructure | None = None,
-                     validation_samples: int = 100, seed=0,
-                     tol: float = 1e-9,
                      quad_tol: float = 1e-10) -> FlatChart:
     """Integrate f*omega to the flat chart map.
 
-    The Jacobian at the base point is f(base)*A(base) = A(base) and must
-    be invertible.  When a cone structure is supplied, sampled cone
-    points (x, y) are pushed through the differential and the cone
-    equation is evaluated at f(x)*A(x)y; the normalized deviation is the
-    product-structure residual.
+    Each component is a rational-log antiderivative when one is found,
+    else a quadrature grid (tolerance quad_tol) that is evaluated only
+    on demand.  The Jacobian at the base point is f(base)*A(base) =
+    A(base) and must be invertible.  No cone point is sampled: Z's
+    equation is homogeneous, so d zeta = f omega maps each cone C_x onto
+    the cone of Z by construction.
     """
     n = cf.n
     base = cf.chart.base_point
@@ -370,30 +369,8 @@ def flat_coordinates(cf: Coframe, factor: ConformalFactor,
     else:
         mode = "mixed"
 
-    chart = FlatChart(mode, tuple(components), jac)
-    chart.details["jacobian"] = "f(base) * A(base), f(base) = 1"
-
-    if cs is not None:
-        pts = sample_cone(cs, validation_samples, f"{seed}:zeta", field="float")
-        worst = 0.0
-        deg = cs.z.degree
-        for x, y in pts:
-            xf = [float(v) for v in x]
-            dz = _differential_at(cf, factor, xf)
-            w = [sum(dz[k][j] * y[j] for j in range(n)) for k in range(n)]
-            val = abs(cs.z.f.evaluate(list(w)))
-            scale = max(1.0, max(abs(c) for c in w) ** deg)
-            worst = max(worst, val / scale)
-        chart.cone_product_residual = worst
-        chart.samples = len(pts)
-        if worst > tol:
-            raise InternalIdentityError(
-                f"cone-product deviation {worst:.3e} above tolerance {tol:.1e}")
-    for c in components:
-        if isinstance(c, GridPotential):
-            chart.max_path_residual = max(chart.max_path_residual,
-                                          c.max_path_residual())
-    return chart
+    return FlatChart(mode, tuple(components), jac,
+                     details={"jacobian": "f(base) * A(base), f(base) = 1"})
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +379,13 @@ def flat_coordinates(cf: Coframe, factor: ConformalFactor,
 
 @dataclass
 class CertifyConfig:
+    """Settings of certify.  membership_samples sizes the witness scan of
+    a failed characteristic_check, witness_samples that of a failed
+    conformal_closedness_test; validation_samples (at most 25 are used)
+    and validation_tol size and bound the float checks of a quadrature
+    conformal_factor.  No stage reads tol_membership: the characteristic
+    check is exact.  It stays for callers that pass it, and in echo."""
+
     membership_samples: int = 25
     validation_samples: int = 100
     witness_samples: int = 8
@@ -483,7 +467,7 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
                               config=cfg)
     try:
         char = characteristic_check(cs, xiZ, samples=cfg.membership_samples,
-                                    seed=cfg.seed, tol=cfg.tol_membership)
+                                    seed=cfg.seed)
         cert.characteristic = char
         cert.residuals["membership_max"] = (
             max((r for _, r in char.failures), default=0.0)
@@ -493,12 +477,13 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
                               "xi_Z certifies membership in xi_V")
         else:
             cert.notes.append(f"dim xi_Z = {xiZ.dim} differs from "
-                              f"dim xi_V = {cs.n}; the pointwise check is "
+                              f"dim xi_V = {cs.n}; membership in xi_Z is "
                               "necessary only")
         if not char.verdict:
             cert.status = "rejected"
             cert.witness = {"stage": "characteristic_check",
-                            "point": [str(v) for v in char.witness],
+                            "point": (None if char.witness is None
+                                      else [str(v) for v in char.witness]),
                             "residual": char.witness_residual}
             return cert
 
@@ -530,13 +515,12 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
         cert.residuals["d_f_omega"] = factor.max_residual
 
         cert.stage = "flat_coordinates"
-        zeta = flat_coordinates(cs.coframe, factor, cs=cs,
-                                validation_samples=cfg.validation_samples,
-                                seed=cfg.seed, tol=cfg.validation_tol,
-                                quad_tol=cfg.quad_tol)
+        zeta = flat_coordinates(cs.coframe, factor, quad_tol=cfg.quad_tol)
         cert.zeta = zeta
-        cert.residuals["cone_product"] = zeta.cone_product_residual
-        cert.residuals["quadrature_paths"] = zeta.max_path_residual
+        # two-path discrepancies of the quadrature potentials evaluated so far
+        grids = [g for g in (h.grid, *zeta.components) if isinstance(g, GridPotential)]
+        cert.residuals["quadrature_paths"] = max(
+            (g.max_path_residual() for g in grids), default=0.0)
 
         trivially_one = (factor.rational is not None
                          and factor.rational == RatFunc.const(cs.n, 1))

@@ -658,11 +658,21 @@ def _annihilates(rows, vectors, p: int | None) -> bool:
     return True
 
 
+def xi_constraints(f: MultiPoly, fields: Sequence[int | None] = (None,)) -> list[tuple]:
+    """The constraints cutting Xi_Z out of Hom(L^2 V, V), over each field
+    of fields (a prime, or None for Q): for each, (rows, pivots, rank of
+    the multiplier block) from _target_constraints of the bidegree-(d, 1)
+    match (membership_matrix with _xi_target), whose integer matrix is
+    built once.  A tensor, in coordinate_triples order, lies in Xi_Z
+    exactly when every row annihilates it."""
+    matrix, lead = membership_matrix(f, (f.total_degree(), 1), _xi_target(f))
+    return [_target_constraints(matrix, lead, p) for p in fields]
+
+
 def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     """Xi_Z of a smooth Z = {f = 0} with n >= 3, exactly by ideal membership
-    (see the module docstring): the integer matrix of the match
-    (membership_matrix, in bidegree (d, 1)) is built once, and the sigma
-    constraints are read off its RREF (_target_constraints).
+    (see the module docstring): the sigma constraints over each field
+    are read off the RREF of one integer match (xi_constraints).
 
     backend "modp": the kernel over each configured prime.  meta: dims
     per prime; stable, the per-prime dimensions agree; contains_xi_V,
@@ -684,7 +694,6 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     config = config or XiConfig()
     f = _smooth_form(z)
     n = f.nvars
-    matrix, lead = membership_matrix(f, (f.total_degree(), 1), _xi_target(f))
     iota = xi_V(n).basis
     meta = {"backend": config.backend, "seed": str(config.seed), "dims": {}, "notes": []}
 
@@ -702,7 +711,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
             < config.tol * max(float(np.linalg.norm(a)), 1.0)
             for b in iota)
         p = config.primes[0]
-        exact = coordinate_dim(n) - len(_target_constraints(matrix, lead, p)[0])
+        exact = coordinate_dim(n) - len(xi_constraints(f, [p])[0][0])
         meta["dims"]["float"] = len(basis)
         meta["contains_xi_V"] = contains
         meta["stable"] = len(basis) == exact
@@ -722,8 +731,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     bases = {}
     contains_all = True
     proves = False
-    for p in fields:
-        rows, pivots, cb_rank = _target_constraints(matrix, lead, p)
+    for p, (rows, pivots, cb_rank) in zip(fields, xi_constraints(f, fields)):
         bases[p] = _modp.kernel_from_rref(rows, pivots, coordinate_dim(n), p)
         iota_vecs = [(b.reduce_mod(p) if p else b).coordinates() for b in iota]
         contains = _annihilates(rows, iota_vecs, p)

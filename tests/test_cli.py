@@ -77,6 +77,15 @@ def test_certify_twisted_model_is_rejected_with_witness(capsys):
     assert details["witness"]["residual"] > 0
 
 
+def test_certify_twisted_model_witness_is_pinned(capsys):
+    # the witness is the first seeded chart point where the structure
+    # tensor leaves xi_Z, with its exact distance to the contraction image
+    code, report = run_json(capsys, "certify", "--model", "twisted", "--seed", "5")
+    assert code == EXIT_REJECTED
+    assert certify_details(report)["witness"] == {
+        "stage": "characteristic_check", "point": ["-1", "-1/3", "8/7"], "residual": 1.0}
+
+
 def test_certify_constant_twist_is_flat(capsys):
     # a constant invertible matrix is just a linear change of frame
     code, report = run_json(capsys, "certify", "--model", "twisted",

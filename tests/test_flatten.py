@@ -162,6 +162,39 @@ def test_conformal_factor_numeric_path():
     assert fac.evaluate((0.5, 0.1, 0.2)) == pytest.approx(0.5, rel=1e-9)
 
 
+def test_conformal_factor_rejects_a_two_path_discrepancy(monkeypatch, fermat, fermat_xiz):
+    # every second quadrature path of h is planted 1e-6 off the first
+    from coneflat import _antideriv
+    real = _antideriv.path_integral
+
+    def skewed(components, start, end, order, tol):
+        value = real(components, start, end, order, tol)
+        return value if order[0] == 0 else value + 1e-6
+
+    monkeypatch.setattr(_antideriv, "path_integral", skewed)
+    cf = rescaled_coframe()
+    h = integrate_h(cf, conformal_closedness_test(cf).xi, mode="grid")
+    with pytest.raises(InternalIdentityError, match="two-path discrepancy"):
+        conformal_factor(cf, h, validation_samples=10, seed=4, tol=1e-9)
+    cert = certify(adapted_cone(cf, fermat), fermat_xiz,
+                   CertifyConfig(seed=4, integration_mode="grid"))
+    assert cert.status == "error" and cert.stage == "conformal_factor"
+    assert any("two-path discrepancy" in note for note in cert.notes)
+
+
+def test_certify_reports_the_evaluated_quadrature_paths(fermat, fermat_xiz):
+    # f depends on two axes, so the two paths of h's quadrature differ
+    f = R("1 + (x1 + x2)/4")
+    rows = [[R("1") / f if k == j else R("0") for j in range(3)] for k in range(3)]
+    cert = certify(adapted_cone(Coframe(CHART, rows), fermat), fermat_xiz,
+                   CertifyConfig(seed=2, integration_mode="grid"))
+    assert cert.status == "conformally_flat"
+    grid = cert.h.grid
+    assert len(grid.path_residuals) == 25
+    assert cert.residuals["quadrature_paths"] == grid.max_path_residual()
+    assert 0 < grid.max_path_residual() < cert.config.validation_tol
+
+
 # ---------------------------------------------------------------------------
 # flat coordinates
 # ---------------------------------------------------------------------------
@@ -183,17 +216,14 @@ def test_flat_model_zeta_is_translation():
     assert chart.jacobian_base == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-def test_rescaled_zeta_is_translation(fermat):
+def test_rescaled_zeta_is_translation():
     cf = rescaled_coframe()
     v = conformal_closedness_test(cf)
     fac = conformal_factor(cf, integrate_h(cf, v.xi))
-    cs = adapted_cone(cf, fermat)
-    chart = flat_coordinates(cf, fac, cs=cs, validation_samples=100, seed=11)
+    chart = flat_coordinates(cf, fac)
     assert chart.mode == "symbolic"
     for k in range(3):
         assert chart.components[k].rational_part == R(VARS3[k])
-    assert chart.samples == 100
-    assert chart.cone_product_residual < 1e-9
 
 
 def test_degenerate_jacobian_rejected_upstream():
@@ -222,7 +252,6 @@ def test_certify_flat(fermat, fermat_xiz):
     assert cert.residuals["membership_max"] == 0.0
     assert cert.residuals["closedness"] == 0.0
     assert cert.residuals["d_f_omega"] == 0.0
-    assert cert.residuals["cone_product"] < 1e-12
     payload = cert.to_json()
     assert payload["status"] == "flat"
     assert payload["f"] == "1"
@@ -235,7 +264,6 @@ def test_certify_rescaled(fermat, fermat_xiz):
     assert cert.status == "conformally_flat"
     assert cert.factor.rational == R("1 - x1")
     assert cert.zeta.mode == "symbolic"
-    assert cert.residuals["cone_product"] < 1e-9
     payload = cert.to_json()
     assert payload["xi"] == ["1", "0", "0"]
     assert payload["zeta"]["mode"] == "symbolic"
@@ -251,6 +279,18 @@ def test_certify_twisted_rejected(fermat, fermat_xiz):
     assert cert.witness is not None
     assert cert.witness["residual"] > 10 * cert.config.tol_membership
     assert cert.h is None and cert.factor is None
+
+
+def test_certify_rejects_by_the_identity_when_no_scanned_point_escapes(fermat, fermat_xiz):
+    # the twist x1^2 leaves xi_Z wherever x1 != 0; the one scanned point,
+    # (0, 2, 5/6), has x1 = 0, so the rejection names no witness point
+    cs = adapted_cone(coframe([["1", "0", "0"], ["0", "1", "x1^2"], ["0", "0", "1"]]),
+                      fermat)
+    cert = certify(cs, fermat_xiz, CertifyConfig(seed=1, membership_samples=1))
+    assert cert.status == "rejected" and cert.stage == "characteristic_check"
+    assert cert.characteristic.samples == 1 and not cert.characteristic.failures
+    assert cert.witness == {"stage": "characteristic_check", "point": None,
+                            "residual": None}
 
 
 def test_certify_heisenberg_rejected_at_closedness(fermat, fermat_xiz):
@@ -298,7 +338,6 @@ def test_certify_roundtrip_recovers_factor(fermat, fermat_xiz):
                        CertifyConfig(seed=trial, validation_samples=40))
         assert cert.status == "conformally_flat", cert.to_json()
         assert cert.factor.rational == f
-        assert cert.residuals["cone_product"] < 1e-9
 
 
 def test_certify_grid_mode_large_exponent(fermat, fermat_xiz):
@@ -314,7 +353,6 @@ def test_certify_grid_mode_large_exponent(fermat, fermat_xiz):
     assert cert.factor.kind == "numeric"
     assert cert.zeta.mode == "grid"
     assert cert.residuals["d_f_omega"] < 1e-9
-    assert cert.residuals["cone_product"] < 1e-9
     # factor values agree with the escaped closed form
     assert cert.factor.evaluate((0.3, 0.0, 0.0)) == pytest.approx(
         0.7 ** 15, rel=1e-8)
