@@ -2,13 +2,15 @@
 
 The integrand is treated one variable at a time: a rational function in
 x_v whose coefficients are rational functions of the remaining
-variables.  Hermite reduction (via Yun's squarefree factorization and
-Bezout identities) peels off the rational part without factoring
-anything into irreducibles, and the logarithmic part is recovered by
-scanning small rational residues m and extracting gcd(N - m * D', D).
-The scan is verified: if the reconstructed derivative does not match
-the integrand exactly, the routine reports failure instead of returning
-a wrong answer, and callers fall back to quadrature.
+variables.  The denominator's base factors that involve x_v, with their
+exponents, are its squarefree decomposition in x_v, so Hermite reduction
+(Bezout identities over the coefficient field) peels off the rational
+part without factoring anything further.  Each base factor q then
+leaves a proper remainder a1/q, which is m log q for a constant m in Q
+exactly when a1 = m q' (Bronstein, Symbolic Integration I, ch. 2).  Any
+other remainder, and any assembled result whose derivative does not
+match the integrand exactly, is reported as failure instead of a wrong
+answer, and callers fall back to quadrature.
 
 Closed 1-forms get a potential by axis-by-axis integration; exactness
 of the intermediate remainders is a theorem (mixed partials), so any
@@ -143,18 +145,6 @@ class UniPoly:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
 
-def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm over the coefficient field.
-
-    Remainders are renormalized to monic each round, which keeps the
-    coefficient rational functions from ballooning.
-    """
-    while not b.is_zero():
-        r = a.mod(b)
-        a, b = b, r.monic()
-    return a.monic()
-
-
 def uni_extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     """(g, s, t) with s a + t b = g, g monic."""
     nvars = a.nvars
@@ -172,40 +162,6 @@ def uni_extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]
         return r0, s0, t0
     inv = RatFunc.const(nvars, 1) / r0.lead()
     return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
-def _exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
-    q, r = a.divmod(b)
-    if not r.is_zero():
-        raise AntiderivativeError("expected exact polynomial division")
-    return q
-
-
-def yun_squarefree(q: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Squarefree decomposition q = c * prod q_i^i with q_i monic,
-    squarefree, pairwise coprime (the unit c is dropped)."""
-    q = q.monic()
-    if q.is_constant():
-        return []
-    dq = q.diff_t()
-    g = uni_gcd(q, dq)
-    if g.is_constant():
-        return [(q, 1)]
-    out = []
-    b = _exact_div(q, g)
-    d = _exact_div(dq, g) - b.diff_t()
-    i = 1
-    while not b.is_constant():
-        p = uni_gcd(b, d)
-        if p.is_constant():
-            c = d
-        else:
-            out.append((p, i))
-            b = _exact_div(b, p)
-            c = _exact_div(d, p)
-        d = c - b.diff_t()
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +199,12 @@ def unipair_to_ratfunc(num: UniPoly, den: UniPoly, v: int) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Hermite reduction and the residue scan
+# Hermite reduction and the log part
 # ---------------------------------------------------------------------------
 
 def _partial_fractions(num: UniPoly, den_factors: list[tuple[UniPoly, int]]) \
         -> list[tuple[UniPoly, UniPoly, int]]:
-    """Split num / prod q_i^i into proper pieces (a_i, q_i, i)."""
+    """Split num / prod q_i^e_i into proper pieces (a_i, q_i, e_i)."""
     pieces = []
     remaining_num = num
     remaining_factors = list(den_factors)
@@ -285,7 +241,7 @@ def _hermite_piece(a: UniPoly, q: UniPoly, mult: int):
     dq = q.diff_t()
     g, u, v = uni_extended_gcd(q, dq)
     if not (g.is_constant() and not g.is_zero()):
-        raise AntiderivativeError("factor from Yun decomposition not squarefree")
+        raise AntiderivativeError("denominator base factor not squarefree")
     while mult >= 2:
         qm1 = q
         for _ in range(mult - 2):
@@ -300,63 +256,21 @@ def _hermite_piece(a: UniPoly, q: UniPoly, mult: int):
     return rational_pairs, poly_extra, a
 
 
-def _residue_candidates() -> list[Fraction]:
-    out = []
-    for b in (1, 2, 3, 4):
-        for a in range(1, 13):
-            if math.gcd(a, b) != 1:
-                continue
-            out.append(Fraction(a, b))
-            out.append(Fraction(-a, b))
-    return out
-
-
-_CANDIDATES = _residue_candidates()
-
-
-def _log_scan(a: UniPoly, q: UniPoly) -> tuple[list[tuple[Fraction, UniPoly]], bool]:
-    """Write a/q = sum m_i g_i'/g_i for small rational m_i.
-
-    Sound but not complete: when a residue falls outside the candidate
-    list the function reports failure and the caller falls back to
-    quadrature.
-    """
-    nvars = a.nvars
-    g0 = uni_gcd(a, q)
-    if not g0.is_constant():
-        q = _exact_div(q, g0)
-        a = _exact_div(a, g0)
-    terms: list[tuple[Fraction, UniPoly]] = []
-    for m in _CANDIDATES:
-        if q.is_constant():
-            break
-        shifted = a - q.diff_t().scale(RatFunc.const(nvars, m))
-        if shifted.is_zero():
-            terms.append((m, q))
-            q = UniPoly.const(RatFunc.const(nvars, 1))
-            a = UniPoly.zero(nvars)
-            break
-        g = uni_gcd(shifted, q)
-        if g.is_constant():
-            continue
-        terms.append((m, g))
-        new_q = _exact_div(q, g)
-        # residual a/q - m g'/g must have denominator q/g
-        new_a_num = a - g.diff_t().scale(RatFunc.const(nvars, m)) * new_q
-        quot, rem = new_a_num.divmod(g)
-        if not rem.is_zero():
-            return terms, False
-        a, q = quot, new_q
-    ok = q.is_constant() or a.is_zero()
-    return terms, ok
-
-
 def integrate_axis(r: RatFunc, v: int) -> tuple[RatFunc, list[tuple[Fraction, RatFunc]], bool]:
     """Antiderivative of r with respect to variable v.
 
     Returns (rational part, [(multiplicity, log argument)], ok); the
     result's v-derivative is verified to equal r exactly, so ok=True
     output is correct by construction.
+
+    The base factors of r's denominator that involve x_v are squarefree
+    and pairwise coprime over Q, so also over the field of the other
+    variables (Gauss's lemma), and serve as the squarefree decomposition
+    in x_v.  Each one carries a single log term m log q with m in Q, or
+    the result is ok=False.  So a composite base factor whose parts
+    carry different residues falls back, such as x1^2 - x2^2 in
+    (3*x1 - x2)/(x1^2 - x2^2) = 1/(x1 - x2) + 2/(x1 + x2), as does an
+    irrational residue, such as 1/(x1^2 - 2).
     """
     nvars = r.nvars
     num = poly_to_unipoly(r.num, v)
@@ -369,20 +283,22 @@ def integrate_axis(r: RatFunc, v: int) -> tuple[RatFunc, list[tuple[Fraction, Ra
     logs: list[tuple[Fraction, RatFunc]] = []
 
     if not rem.is_zero() and not den.is_constant():
-        factors = yun_squarefree(den)
+        bases = [(p, e) for p, e in r.den_factors() if p.degree_in(v) > 0]
+        factors = [(poly_to_unipoly(p, v).monic(), e) for p, e in bases]
         pieces = _partial_fractions(rem, factors)
-        for a, q, mult in pieces:
+        for (a, q, mult), (p, _) in zip(pieces, bases):
             rpairs, extra_poly, a1 = _hermite_piece(a, q, mult)
             poly_part = poly_part + extra_poly
             for pnum, pden in rpairs:
                 rational_accum = rational_accum + unipair_to_ratfunc(pnum, pden, v)
             if a1.is_zero():
                 continue
-            terms, ok = _log_scan(a1, q)
-            if not ok:
+            # a1/q = m q'/q with m constant, read off the leading terms
+            dq = q.diff_t()
+            m = a1.lead() / dq.lead()
+            if not m.is_constant() or a1 != dq.scale(m):
                 return rational_accum, logs, False
-            for m, g in terms:
-                logs.append((m, unipoly_to_ratfunc(g, v)))
+            logs.append((m.constant_value(), RatFunc(p)))
 
     # termwise antiderivative of the polynomial part
     t = RatFunc.var(nvars, v)
@@ -453,14 +369,11 @@ class LogCombination:
             out = out * (arg / RatFunc.const(self.nvars, arg_base)) ** power
         return out
 
-    def evaluate_exp_neg(self, point) -> float:
-        return math.exp(-self.evaluate(point))
-
 
 def integrate_closed_form(components: Sequence[RatFunc],
                           base_point: Sequence[Fraction]) -> LogCombination | None:
     """Potential h with dh = the given exactly-closed 1-form, or None
-    when a log residue escapes the scan.
+    when some axis has no rational-log antiderivative (integrate_axis).
 
     Axis-by-axis: integrate component j in x_j, subtract the full
     gradient, continue.  After step j the j-th remainder vanishes and
@@ -638,9 +551,6 @@ class GridPotential:
         self.path_residuals.append(abs(values[0] - values[1]))
         self._cache[key] = values[0]
         return values[0]
-
-    def evaluate_exp_neg(self, point) -> float:
-        return math.exp(-self.evaluate(point))
 
     def max_path_residual(self) -> float:
         return max(self.path_residuals, default=0.0)

@@ -145,8 +145,9 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
 
 @dataclass
 class HPotential:
-    """Potential with dh = xi sharp omega, symbolic when the residue
-    scan succeeds, quadrature-backed otherwise."""
+    """Potential with dh = xi sharp omega: a verified rational-log
+    combination when integrate_closed_form finds one, quadrature-backed
+    otherwise."""
 
     mode: str                         # "symbolic" | "grid"
     one_form: tuple[RatFunc, ...]
@@ -170,14 +171,14 @@ class HPotential:
         return [f"quadrature grid, tol {self.grid.tol}"]
 
 
-def integrate_h(cf: Coframe, xi_row: Sequence[RatFunc], mode: str = "auto",
+def integrate_h(cf: Coframe, xi_row: Sequence[RatFunc],
                 quad_tol: float = 1e-10) -> HPotential:
     """Solve dh = xi sharp omega with h(base) = 0.
 
     The one-form must be exactly closed; that is re-verified here since
-    integration relies on it.  mode "auto" prefers the symbolic
-    antiderivative and falls back to path quadrature, "symbolic" and
-    "grid" force the respective representation.
+    integration relies on it.  h is the symbolic antiderivative when one
+    verifies exactly, and path quadrature (tolerance quad_tol) when a
+    residue on some denominator base factor is not a rational constant.
     """
     n = cf.n
     s = _sharp(cf, xi_row)
@@ -186,15 +187,9 @@ def integrate_h(cf: Coframe, xi_row: Sequence[RatFunc], mode: str = "auto",
             if s[j].diff(i) != s[i].diff(j):
                 raise FlattenError("xi sharp omega is not closed")
     base = cf.chart.base_point
-    if mode not in ("auto", "symbolic", "grid"):
-        raise FlattenError(f"unknown integration mode {mode!r}")
-    if mode in ("auto", "symbolic"):
-        combo = integrate_closed_form(s, base)
-        if combo is not None:
-            return HPotential("symbolic", tuple(s), symbolic=combo)
-        if mode == "symbolic":
-            raise FlattenError("no rational-log antiderivative found; "
-                               "use grid mode")
+    combo = integrate_closed_form(s, base)
+    if combo is not None:
+        return HPotential("symbolic", tuple(s), symbolic=combo)
     return HPotential("grid", tuple(s),
                       grid=GridPotential(s, base, tol=quad_tol))
 
@@ -381,19 +376,21 @@ def flat_coordinates(cf: Coframe, factor: ConformalFactor,
 class CertifyConfig:
     """Settings of certify.  membership_samples sizes the witness scan of
     a failed characteristic_check, witness_samples that of a failed
-    conformal_closedness_test; validation_samples (at most 25 are used)
-    and validation_tol size and bound the float checks of a quadrature
-    conformal_factor.  No stage reads tol_membership: the characteristic
-    check is exact.  It stays for callers that pass it, and in echo."""
+    conformal_closedness_test; validation_samples and validation_tol
+    size and bound the float checks of a quadrature conformal_factor,
+    and quad_tol is the tolerance of its quadratures.  Each sample
+    evaluates h's quadrature on two paths, so validation_samples sets
+    most of a quadrature certificate's cost.  No stage reads
+    tol_membership: the characteristic check is exact.  It stays for
+    callers that pass it, and in echo."""
 
     membership_samples: int = 25
-    validation_samples: int = 100
+    validation_samples: int = 25
     witness_samples: int = 8
     seed: object = 0
     tol_membership: float = 1e-8
     quad_tol: float = 1e-10
     validation_tol: float = 1e-9
-    integration_mode: str = "auto"
 
     def echo(self) -> dict:
         return {
@@ -404,7 +401,6 @@ class CertifyConfig:
             "tol_membership": self.tol_membership,
             "quad_tol": self.quad_tol,
             "validation_tol": self.validation_tol,
-            "integration_mode": self.integration_mode,
         }
 
 
@@ -502,14 +498,12 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
             return cert
 
         cert.stage = "integrate_h"
-        h = integrate_h(cs.coframe, verdict.xi, mode=cfg.integration_mode,
-                        quad_tol=cfg.quad_tol)
+        h = integrate_h(cs.coframe, verdict.xi, quad_tol=cfg.quad_tol)
         cert.h = h
 
         cert.stage = "conformal_factor"
         factor = conformal_factor(cs.coframe, h,
-                                  validation_samples=min(
-                                      cfg.validation_samples, 25),
+                                  validation_samples=cfg.validation_samples,
                                   seed=cfg.seed, tol=cfg.validation_tol)
         cert.factor = factor
         cert.residuals["d_f_omega"] = factor.max_residual

@@ -524,27 +524,6 @@ class MultiPoly:
             return Fraction(0)
         return Fraction(self.coeffs[max(self.coeffs, key=_grlex_key)], self.den)
 
-    def single_variable(self) -> int | None:
-        """Index of the only variable that occurs, or None (constants give None)."""
-        seen = None
-        for exp in self.coeffs:
-            for i, k in enumerate(exp):
-                if k:
-                    if seen is None:
-                        seen = i
-                    elif seen != i:
-                        return None
-        return seen
-
-    def univariate_coeffs(self, index: int) -> list[Fraction]:
-        """Dense coefficient list in one variable (requires all others absent)."""
-        coeffs = [0] * (self.degree_in(index) + 1)
-        for exp, c in self.coeffs.items():
-            if any(k and i != index for i, k in enumerate(exp)):
-                raise FuncFieldError("polynomial is not univariate in that variable")
-            coeffs[exp[index]] += c
-        return [Fraction(c, self.den) for c in coeffs]
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.coeffs:
             return True
@@ -1154,6 +1133,12 @@ class RatFunc:
 
     def is_polynomial(self) -> bool:
         return not self._factors
+
+    def den_factors(self) -> tuple[tuple[MultiPoly, int], ...]:
+        """The denominator as (base factor, exponent) pairs: pairwise
+        coprime, squarefree, integer-primitive polynomials with positive
+        leads, whose powers multiply to den (empty for a polynomial)."""
+        return tuple((f.poly, e) for f, e in self._factors)
 
     def as_poly(self) -> MultiPoly:
         if self._factors:

@@ -1,5 +1,6 @@
-"""Antiderivative engine: univariate algebra, Hermite reduction,
-residue scan, closed-form potentials, quadrature fallback."""
+"""Antiderivative engine: univariate algebra, Hermite reduction, the
+log part on denominator base factors, closed-form potentials,
+quadrature fallback."""
 
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ from coneflat._antideriv import (
     integrate_closed_form,
     poly_to_unipoly,
     uni_extended_gcd,
-    uni_gcd,
     unipoly_to_ratfunc,
-    yun_squarefree,
 )
 from coneflat.funcfield import RatFunc, parse_ratfunc
 
@@ -67,30 +66,12 @@ def test_divmod_with_function_coefficients():
     assert r.degree < b.degree
 
 
-def test_gcd_is_monic_common_factor():
-    a = U("(x1 - 1)*(x1^2 + 2)")
-    b = U("(x1 - 1)*(x1 + 3)")
-    g = uni_gcd(a, b)
-    assert g == U("x1 - 1")
-
-
 def test_extended_gcd_bezout_identity():
     a = U("(x1 + 2)*(x1 - 1)")
     b = U("(x1 + 2)*(x1 + 5)")
     g, s, t = uni_extended_gcd(a, b)
     assert g == U("x1 + 2")
     assert s * a + t * b == g
-
-
-def test_yun_squarefree_multiplicities():
-    q = U("(x1 - 1)^2*(x1^2 + 2)")
-    parts = yun_squarefree(q)
-    assert parts == [(U("x1^2 + 2"), 1), (U("x1 - 1"), 2)]
-    rebuilt = U("1")
-    for p, i in parts:
-        for _ in range(i):
-            rebuilt = rebuilt * p
-    assert rebuilt == q
 
 
 def test_unipoly_ratfunc_conversion():
@@ -146,14 +127,32 @@ def test_parameter_dependent_pole():
     assert axis_derivative(rational, logs, 0) == integrand
 
 
-def test_residue_outside_scan_range_fails_cleanly():
-    _, _, ok = integrate_axis(R("13/x1"), 0)
-    assert not ok
+def test_large_and_fractional_residues_on_base_factors():
+    # any rational residue is read off the base factor, with no size limit
+    for text, residue, arg in [("13/x1", 13, "x1"),
+                               ("13/(5*x1)", Fraction(13, 5), "x1"),
+                               ("17/(x1 + x2)", 17, "x1 + x2")]:
+        rational, logs, ok = integrate_axis(R(text), 0)
+        assert ok, text
+        assert rational.is_zero()
+        assert logs == [(residue, R(arg))]
+        assert axis_derivative(rational, logs, 0) == R(text)
 
 
 def test_irrational_residue_fails_cleanly():
-    _, _, ok = integrate_axis(R("1/(x1^2 - 2)"), 0)
+    for text in ("1/(x1^2 - 2)", "1/(x1^2 + 1)"):
+        _, _, ok = integrate_axis(R(text), 0)
+        assert not ok, text
+
+
+def test_composite_base_factor_with_distinct_residues_falls_back():
+    # x1^2 - x2^2 is one base factor, but its parts x1 - x2 and x1 + x2
+    # carry residues 1 and 2, so no single m log(x1^2 - x2^2) fits
+    r = R("(3*x1 - x2)/(x1^2 - x2^2)")
+    assert [e for _, e in r.den_factors()] == [1]
+    _, _, ok = integrate_axis(r, 0)
     assert not ok
+    assert integrate_closed_form([r, R("0"), R("0")], (Fraction(1),) * 3) is None
 
 
 def test_random_axis_roundtrips():
@@ -242,7 +241,6 @@ def test_exp_neg_refuses_nonrational_cases():
     frac_mult = LogCombination(3, (Fraction(0),) * 3, R("0"),
                                ((Fraction(1, 2), R("x1 + 1"), Fraction(1)),))
     assert frac_mult.exp_neg_rational() is None
-    assert frac_mult.evaluate_exp_neg((0.5, 0.0, 0.0)) == pytest.approx(1.5 ** -0.5)
 
 
 def test_random_multivariate_roundtrips():
@@ -300,9 +298,3 @@ def test_grid_potential_next_to_a_pole_raises_at_the_evaluation_cap():
     with pytest.raises(QuadratureError,
                        match="path quadrature along coordinate 0 .* reached 10000 evaluations"):
         grid.evaluate((1 - 1e-7, 0.0, 0.0))
-
-
-def test_grid_potential_exp_helper():
-    comps = [R("1/(1 - x1)"), R("0"), R("0")]
-    grid = GridPotential(comps, (Fraction(0),) * 3)
-    assert grid.evaluate_exp_neg((0.4, 0.0, 0.0)) == pytest.approx(0.6, rel=1e-9)

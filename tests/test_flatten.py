@@ -60,6 +60,17 @@ def twisted_coframe() -> Coframe:
     return coframe([["1", "0", "0"], ["0", "1", "x1"], ["0", "0", "1"]])
 
 
+def atan_coframe(arg: str) -> Coframe:
+    """A = d zeta / e^{atan(g)} with zeta = e^{atan(g)} * (1, x2, x3), g
+    the given polynomial: f = e^{atan(g)} and h = -atan(g) are not
+    rational-log, so h is found by quadrature."""
+    g = R(arg)
+    datan = [g.diff(j) / (R("1") + g * g) for j in range(3)]
+    zeta0 = [R("1"), R("x2"), R("x3")]
+    return Coframe(CHART, [[datan[j] * z + z.diff(j) for j in range(3)]
+                           for z in zeta0])
+
+
 @pytest.fixture(scope="module")
 def fermat():
     return Hypersurface(parse_ratfunc("x1^4 + x2^4 + x3^4", VARS3).num)
@@ -123,20 +134,20 @@ def test_integrate_h_symbolic_rescaled():
 
 
 def test_integrate_h_grid_mode_two_paths():
-    cf = rescaled_coframe()
+    # the residue of -1/(1 + x1^2) is not rational, so h is quadrature
+    cf = atan_coframe("x1")
     v = conformal_closedness_test(cf)
-    h = integrate_h(cf, v.xi, mode="grid")
-    assert h.mode == "grid"
+    assert v.one_form[0] == R("-1/(1 + x1^2)")
+    h = integrate_h(cf, v.xi)
+    assert h.mode == "grid" and h.symbolic is None
     for pt in [(0.4, 0.2, -0.3), (-0.6, 0.5, 0.1), (0.8, -0.7, 0.6)]:
-        assert h.evaluate(pt) == pytest.approx(-math.log(1 - pt[0]), abs=1e-9)
+        assert h.evaluate(pt) == pytest.approx(-math.atan(pt[0]), abs=1e-9)
     assert h.grid.max_path_residual() < 1e-10
 
 
 def test_integrate_h_rejects_nonclosed_covector():
     with pytest.raises(FlattenError):
         integrate_h(flat_coframe(), (R("x2"), R("0"), R("0")))
-    with pytest.raises(FlattenError):
-        integrate_h(flat_coframe(), (R("0"),) * 3, mode="nope")
 
 
 def test_conformal_factor_exact_rescaled():
@@ -151,15 +162,16 @@ def test_conformal_factor_exact_rescaled():
 
 
 def test_conformal_factor_numeric_path():
-    # force the quadrature representation and the float validation
-    cf = rescaled_coframe()
+    # a quadrature h takes the float validation
+    cf = atan_coframe("x1")
     v = conformal_closedness_test(cf)
-    h = integrate_h(cf, v.xi, mode="grid")
+    h = integrate_h(cf, v.xi)
     fac = conformal_factor(cf, h, validation_samples=10, seed=4)
     assert fac.kind == "numeric"
     assert fac.samples == 10
     assert fac.max_residual < 1e-9
-    assert fac.evaluate((0.5, 0.1, 0.2)) == pytest.approx(0.5, rel=1e-9)
+    assert fac.evaluate((0.5, 0.1, 0.2)) == pytest.approx(math.exp(math.atan(0.5)),
+                                                          rel=1e-9)
 
 
 def test_conformal_factor_rejects_a_two_path_discrepancy(monkeypatch, fermat, fermat_xiz):
@@ -172,25 +184,24 @@ def test_conformal_factor_rejects_a_two_path_discrepancy(monkeypatch, fermat, fe
         return value if order[0] == 0 else value + 1e-6
 
     monkeypatch.setattr(_antideriv, "path_integral", skewed)
-    cf = rescaled_coframe()
-    h = integrate_h(cf, conformal_closedness_test(cf).xi, mode="grid")
+    cf = atan_coframe("x1")
+    h = integrate_h(cf, conformal_closedness_test(cf).xi)
     with pytest.raises(InternalIdentityError, match="two-path discrepancy"):
         conformal_factor(cf, h, validation_samples=10, seed=4, tol=1e-9)
-    cert = certify(adapted_cone(cf, fermat), fermat_xiz,
-                   CertifyConfig(seed=4, integration_mode="grid"))
+    cert = certify(adapted_cone(cf, fermat), fermat_xiz, CertifyConfig(seed=4))
     assert cert.status == "error" and cert.stage == "conformal_factor"
     assert any("two-path discrepancy" in note for note in cert.notes)
 
 
 def test_certify_reports_the_evaluated_quadrature_paths(fermat, fermat_xiz):
-    # f depends on two axes, so the two paths of h's quadrature differ
-    f = R("1 + (x1 + x2)/4")
-    rows = [[R("1") / f if k == j else R("0") for j in range(3)] for k in range(3)]
-    cert = certify(adapted_cone(Coframe(CHART, rows), fermat), fermat_xiz,
-                   CertifyConfig(seed=2, integration_mode="grid"))
+    # h = -atan(x1 + x2) depends on two axes, so the two paths of its
+    # quadrature differ; one evaluation per validation sample
+    cert = certify(adapted_cone(atan_coframe("x1 + x2"), fermat), fermat_xiz,
+                   CertifyConfig(seed=2))
     assert cert.status == "conformally_flat"
+    assert cert.factor.kind == "numeric" and cert.zeta.mode == "grid"
     grid = cert.h.grid
-    assert len(grid.path_residuals) == 25
+    assert len(grid.path_residuals) == cert.config.validation_samples == 25
     assert cert.residuals["quadrature_paths"] == grid.max_path_residual()
     assert 0 < grid.max_path_residual() < cert.config.validation_tol
 
@@ -340,8 +351,8 @@ def test_certify_roundtrip_recovers_factor(fermat, fermat_xiz):
         assert cert.factor.rational == f
 
 
-def test_certify_grid_mode_large_exponent(fermat, fermat_xiz):
-    # residue 15 escapes the scan, forcing quadrature end to end
+def test_certify_large_exponent_symbolically(fermat, fermat_xiz):
+    # residue 15 is read off the base factor 1 - x1 like any other
     f = R("(1 - x1)^15")
     rows = [[R("1") / f if k == j else R("0") for j in range(3)]
             for k in range(3)]
@@ -349,18 +360,15 @@ def test_certify_grid_mode_large_exponent(fermat, fermat_xiz):
     cert = certify(cs, fermat_xiz,
                    CertifyConfig(seed=8, validation_samples=20))
     assert cert.status == "conformally_flat"
-    assert cert.h.mode == "grid"
-    assert cert.factor.kind == "numeric"
-    assert cert.zeta.mode == "grid"
-    assert cert.residuals["d_f_omega"] < 1e-9
-    # factor values agree with the escaped closed form
-    assert cert.factor.evaluate((0.3, 0.0, 0.0)) == pytest.approx(
-        0.7 ** 15, rel=1e-8)
-    # zeta is numerically the identity since f * omega = dx
-    pt = (0.35, -0.25, 0.15)
-    image = cert.zeta.evaluate(pt)
-    for a, b in zip(image, pt):
-        assert a == pytest.approx(b, abs=1e-8)
+    assert cert.h.mode == "symbolic"
+    assert cert.factor.kind == "rational"
+    assert cert.factor.rational == f
+    assert cert.residuals["d_f_omega"] == 0.0
+    # zeta is exactly the identity since f * omega = dx
+    assert cert.zeta.mode == "symbolic"
+    for k in range(3):
+        assert cert.zeta.components[k].logs == ()
+        assert cert.zeta.components[k].rational_part == R(VARS3[k])
 
 
 # ---------------------------------------------------------------------------
