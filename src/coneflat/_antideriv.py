@@ -353,6 +353,15 @@ class LogCombination:
             total += float(m) * math.log(abs(val / arg_base))
         return total
 
+    def terms(self) -> list[str]:
+        """Certificate terms: "rational r", then "m*log((arg)/(arg(base)))"."""
+        out = []
+        if not self.rational_part.is_zero():
+            out.append("rational " + self.rational_part.to_string())
+        for m, arg, arg_base in self.logs:
+            out.append(f"{m}*log(({arg.to_string()})/({arg_base}))")
+        return out or ["0"]
+
     def has_integer_multiplicities(self) -> bool:
         return all(m.denominator == 1 for m, _, _ in self.logs)
 
@@ -554,3 +563,7 @@ class GridPotential:
 
     def max_path_residual(self) -> float:
         return max(self.path_residuals, default=0.0)
+
+    def terms(self) -> list[str]:
+        """Certificate terms, as LogCombination.terms."""
+        return [f"quadrature grid, tol {self.tol}"]

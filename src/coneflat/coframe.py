@@ -15,13 +15,16 @@ verdict of the bracket identity [(D_lambda)_a, gamma] = (D_theta)_a.
 The induced facts are each proved once, from small operands: the
 pairing of (theta, lambda) with its dual frames follows from A B = I,
 checked at n x n on the base chart; the mu relations follow from it
-once the lambda rows are seen to be d mu, entry by entry; and gamma is
-its closed form (y, -B E y) rather than a sum of cancelling terms.  A
-coframe holds its induced coframe weakly: InducedCoframe.base points
-back at it, and a strong cycle would keep a discarded coframe's
-expressions alive until the cyclic garbage collector runs.  So the
-induced coframe is shared while some caller, such as a ConeStructure,
-holds it.
+once the lambda rows are seen to be d mu, entry by entry; gamma is
+its closed form (y, -B E y) rather than a sum of cancelling terms; and
+the structure function of the induced pair is never built on the
+tangent chart: theta = pi* omega and lambda = d mu, both read off M
+entry by entry, make it the lifted base structure function in the
+theta-theta block and zero elsewhere.  A coframe holds its induced
+coframe weakly: InducedCoframe.base points back at it, and a strong
+cycle would keep a discarded coframe's expressions alive until the
+cyclic garbage collector runs.  So the induced coframe is shared while
+some caller, such as a ConeStructure, holds it.
 
 Sign convention: with c defined by d omega^k = sum_{a<b} c^k_{ab}
 omega^a wedge omega^b, the dual-frame fields satisfy
@@ -224,16 +227,6 @@ class Coframe:
         self._structure: StructureFunction | None = None
         self._induced: weakref.ref | None = None
 
-    @classmethod
-    def _with_det(cls, chart: Chart, a: Matrix, det: RatFunc) -> Coframe:
-        """A coframe whose determinant is already known to be det, which
-        must be nonzero at the base point; no elimination runs."""
-        self = object.__new__(cls)
-        self.chart, self.a, self._det = chart, a, det
-        self._structure = None
-        self._induced = None
-        return self
-
     @property
     def n(self) -> int:
         return self.chart.n
@@ -370,6 +363,12 @@ class AntisymmetricComponents:
     def is_zero(self) -> bool:
         return not self.components
 
+    def norm_sq_at(self, point) -> Fraction:
+        """Squared Euclidean norm of the tensor at point, over the
+        coordinates (k, i < j)."""
+        return sum((val.evaluate(point) ** 2 for val in self.components.values()),
+                   Fraction(0))
+
 
 class VValuedForm2(AntisymmetricComponents):
     """Vector-valued 2-form: component k is sum_{i<j} w[k,i,j] dx_i ^ dx_j."""
@@ -400,7 +399,7 @@ class StructureFunction(AntisymmetricComponents):
         """The covector xi with xi_j = (1/(1-n)) sum_k c^k_{kj}.
 
         When c lies in the image of the contraction map this inverts it
-        symbolically; callers must verify c = iota(xi) afterwards.
+        symbolically; contraction_residual says whether c = iota(xi).
         """
         n = self.chart.n
         scale = Fraction(1, 1 - n)
@@ -411,6 +410,22 @@ class StructureFunction(AntisymmetricComponents):
                 acc = acc + self.get(k, k, j)
             out.append(acc * scale)
         return out
+
+    def contraction_residual(self) -> AntisymmetricComponents:
+        """c - iota(xi), xi = trace_covector().  The iota(e_a) are
+        orthogonal of squared norm n - 1 with <c, iota(e_a)> = (n - 1) xi_a,
+        so iota(xi) projects c onto Xi_V: the result is zero exactly when c
+        lies in Xi_V, and its norm_sq_at x is c(x)'s squared distance to it."""
+        n = self.chart.n
+        xi = self.trace_covector()
+        zero = RatFunc.const(n, 0)
+        residual = dict(self.components)
+        for i in range(n):
+            for j in range(i + 1, n):
+                # iota(xi)^k_{ij} = xi_i delta^k_j - xi_j delta^k_i
+                residual[(j, i, j)] = residual.get((j, i, j), zero) - xi[i]
+                residual[(i, i, j)] = residual.get((i, i, j), zero) + xi[j]
+        return AntisymmetricComponents(self.chart, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +451,20 @@ def exterior_derivative(cf: Coframe) -> VValuedForm2:
     return VValuedForm2(cf.chart, comps)
 
 
-def structure_function(cf: Coframe, dual: FrameField | None = None,
-                       verify: bool = True) -> StructureFunction:
+def structure_function(cf: Coframe, verify: bool = True) -> StructureFunction:
     """The unique c with d omega^k = sum_{a<b} c^k_{ab} omega^a ^ omega^b.
 
     Computed by contracting d omega with the dual frame; when verify is
     set (the default) the reconstruction through A is checked to be an
-    exact identity, so a returned value is a proof.  With no explicit
-    dual, a verified result is stored on cf and returned by later calls
-    and by cf.structure; a failed reconstruction stores nothing and
-    raises on every call.
+    exact identity, so a returned value is a proof.  A verified result
+    is stored on cf and returned by later calls and by cf.structure; a
+    failed reconstruction stores nothing and raises on every call.
     """
-    if dual is None and cf._structure is not None:
+    if cf._structure is not None:
         return cf._structure
     n = cf.n
     w = exterior_derivative(cf)
-    b = (dual or cf.dual).matrix
+    b = cf.dual.matrix
     comps: dict[tuple[int, int, int], RatFunc] = {}
     for (k, i, j), wk in w.components.items():
         for a in range(n):
@@ -482,8 +495,7 @@ def structure_function(cf: Coframe, dual: FrameField | None = None,
                         raise FuncFieldError(
                             "structure function reconstruction failed; "
                             "the coframe data is inconsistent")
-        if dual is None:
-            cf._structure = sf
+        cf._structure = sf
     return sf
 
 
@@ -524,9 +536,9 @@ def frame_bracket_check(cf: Coframe) -> CheckReport:
                        details={"exact_identity": exact_ok})
 
 
-def check_d_lemma(cf: Coframe, f: RatFunc, dual: FrameField | None = None) -> bool:
+def check_d_lemma(cf: Coframe, f: RatFunc) -> bool:
     """df = (D f)-sharp omega: d_j f = sum_a (D_a f) A[a][j], exactly."""
-    frame = dual or cf.dual
+    frame = cf.dual
     n = cf.n
     directional = [frame.apply(a, f) for a in range(n)]
     for j in range(n):
@@ -606,15 +618,26 @@ class InducedCoframe:
     def n(self) -> int:
         return self.base.n
 
-    def as_coframe(self) -> Coframe:
-        """The induced pair as one coframe on the tangent chart.  Its
-        matrix is block lower triangular, [[A, 0], [E, A]], so its
-        determinant is det(A)^2, nonzero at the base point with A's."""
-        return Coframe._with_det(self.chart, self.matrix, self.lift(self.base.det) ** 2)
-
     def lift(self, h: RatFunc) -> RatFunc:
         """Pull a function on the base chart up to the tangent chart."""
         return h.lift(2 * self.n, list(range(self.n)))
+
+    @cached_property
+    def block_form(self) -> bool:
+        """Whether M = [[A, 0], [E, A]], A lifted, entry by entry: then
+        theta = pi* omega."""
+        n = self.n
+        zero = RatFunc.const(2 * n, 0)
+        a2 = [tuple(map(self.lift, row)) for row in self.base.a]
+        return all(self.matrix[k] == a2[k] + (zero,) * n and self.matrix[n + k][n:] == a2[k]
+                   for k in range(n))
+
+    @cached_property
+    def rows_are_dmu(self) -> tuple[bool, ...]:
+        """Per column s, whether each lambda row k has d_s mu^k there."""
+        n = self.n
+        return tuple(all(self.matrix[n + k][s] == self.mu[k].diff(s) for k in range(n))
+                     for s in range(2 * n))
 
     @cached_property
     def frames(self) -> tuple[FrameField, FrameField]:
@@ -690,16 +713,13 @@ def tangent_dual_frame(ic: InducedCoframe) -> tuple[FrameField, FrameField]:
     M N = [[A B, 0], [E B - A B E B, A B]], which is I_2n whenever
     A B = I_n, for any E.  So the pairing identity M N = I_2n is proved
     by checking A B = I_n exactly at n x n on the base chart, after
-    checking entry by entry that M has that block form with cf.a as A;
-    if either fails, SingularCoframeError is raised.
+    checking entry by entry that M has that block form with cf.a as A
+    (ic.block_form); if either fails, SingularCoframeError is raised.
     """
     n = ic.n
     cf = ic.base
     zero = RatFunc.const(2 * n, 0)
-    a2 = [tuple(map(ic.lift, row)) for row in cf.a]
-    block_form = all(ic.matrix[k] == a2[k] + (zero,) * n and ic.matrix[n + k][n:] == a2[k]
-                     for k in range(n))
-    if not block_form or mat_mul(cf.a, cf.dual.matrix) != mat_identity(n, n):
+    if not ic.block_form or mat_mul(cf.a, cf.dual.matrix) != mat_identity(n, n):
         raise SingularCoframeError("induced dual frame failed the pairing identity")
     b2 = tuple(tuple(map(ic.lift, row)) for row in cf.dual.matrix)
     e = [row[:n] for row in ic.matrix[n:]]
@@ -714,17 +734,16 @@ def check_dual_relations(ic: InducedCoframe) -> dict[str, bool]:
     The four pairings are the blocks of M . [D_theta | D_lambda] = I_2n,
     which tangent_dual_frame proved from A B = I_n when it built
     ic.frames.  The mu relations are rows n..2n-1 of the same identity
-    once the lambda rows of M are shown to be d mu^k, entry by entry:
-    then D(mu^k) = (d mu^k) N is row n + k of M N.  D_lambda has no
-    dx-part, so D_lambda(mu) = I needs only the dy-columns to match.
+    once the lambda rows of M are shown to be d mu^k, entry by entry
+    (ic.rows_are_dmu): then D(mu^k) = (d mu^k) N is row n + k of M N.
+    D_lambda has no dx-part, so D_lambda(mu) = I needs only the
+    dy-columns to match.
     """
     n = ic.n
     d_theta, d_lambda = ic.frames
     results = dict.fromkeys(_PAIRINGS, True)
-    rows_are_dmu = [all(ic.matrix[n + k][s] == ic.mu[k].diff(s) for k in range(n))
-                    for s in range(2 * n)]
-    results["dtheta_mu_is_zero"] = all(rows_are_dmu)
-    results["dlambda_mu_is_identity"] = all(rows_are_dmu[n:])
+    results["dtheta_mu_is_zero"] = all(ic.rows_are_dmu)
+    results["dlambda_mu_is_identity"] = all(ic.rows_are_dmu[n:])
 
     # projection: the x-components of D_theta form the base dual frame
     b_base = ic.base.dual.matrix
@@ -755,61 +774,24 @@ def check_geodesic_identities(ic: InducedCoframe) -> dict[str, bool]:
             "bracket_dlambda_gamma_is_dtheta": ic.bracket_identity}
 
 
-def check_tangent_frame_brackets(ic: InducedCoframe) -> dict[str, bool]:
-    """Bracket table of the induced frames: the lambda-lambda and
-    theta-lambda brackets vanish and the theta-theta brackets reproduce
-    the pulled-back structure function (with the bracket sign)."""
-    n = ic.n
-    d_theta, d_lambda = ic.frames
-    sf = ic.base.structure
-    results = {"lambda_lambda_brackets_vanish": True,
-               "theta_lambda_brackets_vanish": True,
-               "theta_theta_brackets_match_structure": True}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not d_lambda.vector(a).bracket(d_lambda.vector(b)).is_zero():
-                results["lambda_lambda_brackets_vanish"] = False
-    for a in range(n):
-        for b in range(n):
-            if not d_theta.vector(a).bracket(d_lambda.vector(b)).is_zero():
-                results["theta_lambda_brackets_vanish"] = False
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = d_theta.vector(a).bracket(d_theta.vector(b))
-            for s in range(2 * n):
-                acc = RatFunc.const(2 * n, 0)
-                for k in range(n):
-                    c = sf.get(k, a, b)
-                    if not c.is_zero():
-                        acc = acc - ic.lift(c) * d_theta.matrix[s][k]
-                if br.components[s] != acc:
-                    results["theta_theta_brackets_match_structure"] = False
-    return results
-
-
 def verify_induced_structure(cf: Coframe) -> CheckReport:
     """Structure function of the induced pair: vanishes outside the
-    theta-theta block and that block is the pullback of the base one."""
-    n = cf.n
+    theta-theta block and that block is the pullback of the base one.
+
+    Proved without building it: ic.frames proves (theta, lambda) a
+    coframe with theta = pi* omega (ic.block_form), so d theta^k is the
+    lift of sum_{a<b} c^k_{ab} omega^a ^ omega^b, c the verified base
+    structure function, and lambda = d mu (ic.rows_are_dmu) gives
+    d lambda = 0.  Structure functions are unique, so the theta-theta
+    block is lift(c) and every other component is zero.
+    """
     ic = cf.induced
-    d_theta, d_lambda = ic.frames
-    combined_dual = FrameField(ic.chart, tuple(
-        tuple(d_theta.matrix[s] + d_lambda.matrix[s]) for s in range(2 * n)))
-    big = structure_function(ic.as_coframe(), dual=combined_dual)
-    base_sf = cf.structure
-    block_ok = True
-    for (k, a, b) in big.components:
-        if k >= n or a >= n or b >= n:
-            block_ok = False
-    pullback_ok = True
-    for k in range(n):
-        for a in range(n):
-            for b in range(a + 1, n):
-                if big.get(k, a, b) != ic.lift(base_sf.get(k, a, b)):
-                    pullback_ok = False
-    return CheckReport(name="induced_structure", passed=block_ok and pullback_ok,
+    ic.frames           # proves (theta, lambda) a coframe, or raises
+    cf.structure        # the verified base structure function, or raises
+    block_ok = ic.block_form and all(ic.rows_are_dmu)
+    return CheckReport(name="induced_structure", passed=block_ok,
                        details={"vanishes_off_theta_block": block_ok,
-                                "theta_block_is_pullback": pullback_ok})
+                                "theta_block_is_pullback": ic.block_form})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ exactly over prime fields, runs the two dynamical checks relating the
 geodesic flow to the structure tensor (flow tangency and the
 double-bracket identity), and decides whether the structure function
 takes values in Xi_Z, as rational-function identities over Q.
+
+The cone equation f(mu), mu = A(x) y, is never expanded: flow tangency
+is proved from the n functions gamma(mu^k), each linear in y.
 """
 
 from __future__ import annotations
@@ -210,7 +213,8 @@ def smooth_check(z: Hypersurface) -> SmoothnessReport:
 # ---------------------------------------------------------------------------
 
 class ConeStructure:
-    """A coframe plus a hypersurface; the cone equation is F = f(A(x) y)."""
+    """A coframe plus a hypersurface; the cone equation f(mu), with
+    mu = A(x) y the induced coframe's mu, is never expanded."""
 
     def __init__(self, coframe: Coframe, z: Hypersurface):
         if coframe.n != z.n:
@@ -220,7 +224,6 @@ class ConeStructure:
         self.z = z
         self.induced = coframe.induced
         self.mu = self.induced.mu
-        self.F = z.f.subst(list(self.mu))
 
     @property
     def n(self) -> int:
@@ -265,7 +268,7 @@ def adapted_cone(cf: Coframe, z: Hypersurface) -> ConeStructure:
 # ---------------------------------------------------------------------------
 
 def sample_cone(cs: ConeStructure, count: int, seed, field=None) -> list[tuple[tuple, tuple]]:
-    """Points (x, y) with F(x, y) = 0 over the prime field GF(field),
+    """Points (x, y) with f(A(x) y) = 0 over the prime field GF(field),
     by default that of the first standard sampling prime.
 
     The y fiber point is B(x) u for a sampled cone point u of Z, so the
@@ -348,19 +351,21 @@ class CharacteristicReport:
 
 
 def geodesic_tangency_check(cs: ConeStructure) -> TangencyReport:
-    """gamma(F) must be the identically-zero rational function.
+    """gamma(mu^k) must be the identically-zero rational function for
+    every k.
 
-    This is exact and coframe-independent: the flow differentiates F =
-    f(mu) only through mu, and mu is constant along the horizontal
-    frame.  A nonzero result would mean a broken induced coframe, so the
-    offending function is included in the report.
+    By the chain rule gamma(f(mu)) = sum_k d_k f(mu) gamma(mu^k), so this
+    proves gamma tangent to the cone {f(mu) = 0} of every Z, not only of
+    cs.z.  Each gamma(mu^k) is linear in y and vanishes for every
+    coframe, as mu is constant along the horizontal frame; a nonzero one
+    means a broken induced coframe, and details["gamma_mu"] maps each
+    failing k to it.
     """
-    gamma_f = cs.induced.gamma.apply(cs.F)
-    ok = gamma_f.is_zero()
-    details = {}
-    if not ok:
-        details["gamma_F"] = gamma_f.to_string(cs.chart.variables)
-    return TangencyReport(verdict=ok, mode="exact", details=details)
+    gamma_mu = map(cs.induced.gamma.apply, cs.mu)
+    failing = {k: g.to_string(cs.chart.variables)
+               for k, g in enumerate(gamma_mu) if not g.is_zero()}
+    return TangencyReport(verdict=not failing, mode="exact",
+                          details={"gamma_mu": failing} if failing else {})
 
 
 def _double_bracket_fields(cs: ConeStructure):
@@ -489,7 +494,8 @@ def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
     Xi_Z, with its residual, and the witness is the first of them (None
     if the nonzero combinations vanish at every scanned point).  The
     residual is the exact Euclidean distance from the evaluated tensor to
-    the contraction image Xi_V (converted to float).  When dim Xi_Z =
+    the contraction image Xi_V (converted to float), the norm there of
+    the structure function's contraction_residual.  When dim Xi_Z =
     dim Xi_V and Xi_V is contained in Xi_Z, that distance equals the
     distance to Xi_Z itself; otherwise it is reported under the same
     label but is only an upper bound certificate of nonmembership in
@@ -510,12 +516,11 @@ def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
         return report
     xs = sample_points(cs.coframe.chart, samples, f"{seed}:chi",
                        avoid=cs.coframe.pole_polynomials())
-    xiv = xi.xi_V(cs.n)
+    off_xi_v = struct.contraction_residual()
     for x in xs:
         tensor = xi.HomTensor(cs.n, struct.evaluate_at(x))
         if not xi._annihilates(rows, [tensor.coordinates()], None):
-            residual = math.sqrt(float(xi.membership(tensor, xiv).residual))
-            report.failures.append((x, residual))
+            report.failures.append((x, math.sqrt(float(off_xi_v.norm_sq_at(x)))))
     if report.failures:
         report.witness, report.witness_residual = report.failures[0]
     return report

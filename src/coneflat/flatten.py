@@ -26,12 +26,7 @@ from coneflat._antideriv import (
     QuadratureError,
     integrate_closed_form,
 )
-from coneflat.coframe import (
-    Coframe,
-    exterior_derivative,
-    float_points,
-    sample_points,
-)
+from coneflat.coframe import Coframe, float_points, sample_points
 from coneflat.cone import ConeStructure, characteristic_check
 from coneflat.funcfield import PoleError, RatFunc
 
@@ -81,35 +76,25 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
                               seed=0) -> ClosednessVerdict:
     """Decide whether some rescaling f*omega is closed, exactly.
 
-    The candidate covector is read off the structure function by the
-    trace formula; the verdict rests on the exact rational-function
-    identity d omega^k = (xi sharp omega) wedge omega^k.  On failure a
-    sampled witness carries the Euclidean distance from the evaluated
-    structure tensor to the contraction image.
+    The candidate covector xi is read off the verified structure function
+    c by the trace formula, and the verdict is the rational-function
+    identity c = iota(xi) in the frame basis.  As omega is a coframe,
+    that is d omega^k = s wedge omega^k with s = xi sharp omega, and no
+    product with A is formed.  iota(xi) is the orthogonal projection of c
+    onto the contraction image (StructureFunction.contraction_residual),
+    so on failure a sampled witness carries the Euclidean distance from
+    the evaluated structure tensor to the contraction image.
     """
     n = cf.n
     zero = RatFunc.const(n, 0)
-    w = exterior_derivative(cf)
-    if not w.components:
+    struct = cf.structure
+    if struct.is_zero():
         return ClosednessVerdict("closed", xi=tuple([zero] * n),
                                  one_form=tuple([zero] * n))
-    struct = cf.structure
-    xi_row = struct.trace_covector()
-    s = _sharp(cf, xi_row)
-    identity_holds = True
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = w.components.get((k, i, j), zero)
-                if lhs != s[i] * cf.a[k][j] - s[j] * cf.a[k][i]:
-                    identity_holds = False
-                    break
-            if not identity_holds:
-                break
-        if not identity_holds:
-            break
-
-    if identity_holds:
+    off_xi_v = struct.contraction_residual()
+    if off_xi_v.is_zero():
+        xi_row = struct.trace_covector()
+        s = _sharp(cf, xi_row)
         # d(xi sharp omega) = 0 is implied; a failure here is a bug
         for i in range(n):
             for j in range(i + 1, n):
@@ -122,16 +107,14 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
         return ClosednessVerdict("conformally_closed", xi=tuple(xi_row),
                                  one_form=tuple(s))
 
-    xiv = xi.xi_V(n)
     points = sample_points(cf.chart, witness_samples, f"{seed}:cw",
                            avoid=cf.pole_polynomials())
     for x in points:
-        tensor = xi.HomTensor(n, struct.evaluate_at(x))
-        res = xi.membership(tensor, xiv)
-        if not res.member:
+        residual = off_xi_v.norm_sq_at(x)
+        if residual:
             return ClosednessVerdict(
                 "not_conformally_closed", witness=x,
-                residual=math.sqrt(float(res.residual)),
+                residual=math.sqrt(float(residual)),
                 details={"residual_metric":
                          "euclidean distance to the contraction image"})
     raise InternalIdentityError(
@@ -160,15 +143,7 @@ class HPotential:
         return self.grid.evaluate(point)
 
     def terms(self) -> list[str]:
-        names = None
-        if self.symbolic is not None:
-            out = []
-            if not self.symbolic.rational_part.is_zero():
-                out.append("rational " + self.symbolic.rational_part.to_string(names))
-            for m, arg, arg_base in self.symbolic.logs:
-                out.append(f"{m}*log(({arg.to_string(names)})/({arg_base}))")
-            return out or ["0"]
-        return [f"quadrature grid, tol {self.grid.tol}"]
+        return (self.symbolic or self.grid).terms()
 
 
 def integrate_h(cf: Coframe, xi_row: Sequence[RatFunc],
@@ -305,18 +280,7 @@ class FlatChart:
         return [c.evaluate(point) for c in self.components]
 
     def component_terms(self) -> list[list[str]]:
-        out = []
-        for c in self.components:
-            if isinstance(c, LogCombination):
-                terms = []
-                if not c.rational_part.is_zero():
-                    terms.append("rational " + c.rational_part.to_string())
-                for m, arg, arg_base in c.logs:
-                    terms.append(f"{m}*log(({arg.to_string()})/({arg_base}))")
-                out.append(terms or ["0"])
-            else:
-                out.append([f"quadrature grid, tol {c.tol}"])
-        return out
+        return [c.terms() for c in self.components]
 
 
 def flat_coordinates(cf: Coframe, factor: ConformalFactor,

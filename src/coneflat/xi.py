@@ -326,25 +326,6 @@ def membership(sigma: HomTensor, space: TensorSubspace,
     return MembershipResult(member, list(sol) if member else None, res, "float")
 
 
-def recover_eta(sigma: HomTensor):
-    """Invert the contraction on its image via the trace formula
-    eta_j = (1/(1-n)) sum_k c^k_{kj}; returns None off the image."""
-    if sigma.field != "rational":
-        raise XiError("recover_eta works on rational tensors")
-    n = sigma.n
-    if n < 3:
-        raise XiError("dimension must be at least 3")
-    eta = []
-    for j in range(n):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += sigma.get(k, k, j)
-        eta.append(acc / (1 - n))
-    if iota(eta) == sigma:
-        return eta
-    return None
-
-
 def check_iota_identity(eta: Sequence[Fraction], cf: Coframe) -> bool:
     """Defining property of the contraction: iota(eta)-sharp (w ^ w)
     equals (eta-sharp w) ^ w, exactly, in chart components."""

@@ -15,7 +15,6 @@ from coneflat.coframe import (
     check_d_lemma,
     check_dual_relations,
     check_geodesic_identities,
-    check_tangent_frame_brackets,
     dual_frame,
     exterior_derivative,
     frame_bracket_check,
@@ -386,11 +385,22 @@ def test_induced_matrix_off_its_block_form_fails_the_pairing_proof():
 
 
 def test_tangent_frame_bracket_table():
-    rng = random.Random(95)
-    cf = random_polynomial_coframe(CHART, rng)
+    # the bracket table of the induced frames on the tangent chart: the
+    # lambda-lambda and theta-lambda brackets vanish, and the theta-theta
+    # ones are - sum_k lift(c^k_ab) (D_theta)_k
+    cf = random_polynomial_coframe(CHART, random.Random(95))
     ic = induced_coframe(cf)
-    results = check_tangent_frame_brackets(ic)
-    assert all(results.values()), results
+    d_theta, d_lambda = ic.frames
+    for a in range(3):
+        for b in range(3):
+            assert d_theta.vector(a).bracket(d_lambda.vector(b)).is_zero()
+            if a < b:
+                assert d_lambda.vector(a).bracket(d_lambda.vector(b)).is_zero()
+                expected = [-sum((ic.lift(cf.structure.get(k, a, b)) * d_theta.matrix[s][k]
+                                  for k in range(3)), RatFunc.const(6, 0))
+                            for s in range(6)]
+                assert list(d_theta.vector(a).bracket(d_theta.vector(b)).components) \
+                    == expected
 
 
 def test_verify_induced_structure_flat():
@@ -398,23 +408,44 @@ def test_verify_induced_structure_flat():
     assert report.passed
 
 
-def test_verify_induced_structure_heisenberg():
-    cf = heisenberg_coframe()
+def assert_induced_structure_is_the_lifted_base(cf):
+    """The structure function of the induced pair, built on the tangent
+    chart as an oracle, is the lifted base one in its theta-theta block
+    and zero elsewhere; verify_induced_structure says so without it.
+    Returns that oracle."""
     ic = induced_coframe(cf)
-    frames = tangent_dual_frame(ic)
-    combined = tuple(tuple(frames[0].matrix[s] + frames[1].matrix[s]) for s in range(6))
-    from coneflat.coframe import FrameField
-    big = structure_function(ic.as_coframe(),
-                             dual=FrameField(ic.chart, combined))
+    big = structure_function(Coframe(ic.chart, ic.matrix))
+    assert big.components == {key: ic.lift(c) for key, c in cf.structure.components.items()}
+    assert verify_induced_structure(cf).passed
+    return big
+
+
+def test_verify_induced_structure_heisenberg():
+    big = assert_induced_structure_is_the_lifted_base(heisenberg_coframe())
     assert set(big.components) == {(2, 0, 1)}
     assert big.get(2, 0, 1) == 1
-    assert verify_induced_structure(cf).passed
 
 
 def test_verify_induced_structure_random():
     rng = random.Random(33)
     cf = random_polynomial_coframe(CHART, rng, unimodular=False)
-    assert verify_induced_structure(cf).passed
+    assert_induced_structure_is_the_lifted_base(cf)
+
+
+def test_verify_induced_structure_rejects_a_lambda_row_off_d_mu(monkeypatch):
+    cf = heisenberg_coframe()
+    ic = cf.induced
+    rows = [list(row) for row in ic.matrix]
+    rows[3][0] = rows[3][0] + RatFunc.var(6, 4)      # lambda^1 gains y2 dx1
+    tampered = dataclasses.replace(ic, matrix=tuple(map(tuple, rows)))
+    monkeypatch.setattr(Coframe, "induced", property(lambda self: tampered))
+    report = verify_induced_structure(cf)
+    assert not report.passed
+    assert report.details == {"vanishes_off_theta_block": False,
+                              "theta_block_is_pullback": True}
+    # the oracle: d lambda^1 = dy2 ^ dx1 is now nonzero
+    big = structure_function(Coframe(tampered.chart, tampered.matrix))
+    assert any(k >= 3 for k, _, _ in big.components)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import random
 import sys
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coneflat import cone, xi
-from coneflat.coframe import Chart, Coframe, random_polynomial_coframe
-from coneflat.funcfield import MultiPoly, parse_poly, parse_ratfunc
+from coneflat.coframe import Chart, Coframe, VectorField, random_polynomial_coframe
+from coneflat.funcfield import MultiPoly, RatFunc, parse_poly, parse_ratfunc
 
 VARS3 = ["x1", "x2", "x3"]
 VARS6 = ["x1", "x2", "x3", "y1", "y2", "y3"]
@@ -254,19 +255,24 @@ def test_benchmark_varieties_certify_smooth(n, text):
 # adapted cone structures
 # ---------------------------------------------------------------------------
 
+def cone_equation(cs):
+    """The expanded cone equation F = f(mu), an oracle: no check builds it."""
+    return cs.z.f.subst(list(cs.mu))
+
+
 def test_adapted_cone_flat_is_x_independent():
     cs = cone.adapted_cone(flat_coframe(), fermat())
-    assert cs.F == parse_ratfunc("y1^4 + y2^4 + y3^4", VARS6)
+    assert cone_equation(cs) == parse_ratfunc("y1^4 + y2^4 + y3^4", VARS6)
 
 
 def test_adapted_cone_rescaled_formula():
     cs = cone.adapted_cone(rescaled_coframe(), fermat())
-    assert cs.F == parse_ratfunc("(y1^4 + y2^4 + y3^4)/(1 - x1)^4", VARS6)
+    assert cone_equation(cs) == parse_ratfunc("(y1^4 + y2^4 + y3^4)/(1 - x1)^4", VARS6)
 
 
 def test_adapted_cone_twisted_formula():
     cs = cone.adapted_cone(twisted_coframe(), fermat())
-    assert cs.F == parse_ratfunc("y1^4 + (y2 + x1*y3)^4 + y3^4", VARS6)
+    assert cone_equation(cs) == parse_ratfunc("y1^4 + (y2 + x1*y3)^4 + y3^4", VARS6)
 
 
 def test_adapted_cone_rejects_singular():
@@ -290,8 +296,9 @@ def test_sample_cone_modp_exact_zeros():
     cs = cone.adapted_cone(rescaled_coframe(), fermat())
     pts = cone.sample_cone(cs, 15, seed="sc", field=P1)
     assert len(pts) == 15
+    cone_f = cone_equation(cs)
     for x, y in pts:
-        assert cs.F.evaluate_mod(list(x) + list(y), P1) == 0
+        assert cone_f.evaluate_mod(list(x) + list(y), P1) == 0
     assert pts == cone.sample_cone(cs, 15, seed="sc", field=P1)
     assert pts != cone.sample_cone(cs, 15, seed="other", field=P1)
 
@@ -314,6 +321,27 @@ def test_geodesic_tangency_random_coframe_and_variety():
     z = cone.Hypersurface(parse_poly("x1^4 + x2^4 + x3^4 + x1^3*x2", VARS3))
     report = cone.geodesic_tangency_check(cone.adapted_cone(cf, z))
     assert report.verdict
+
+
+def test_geodesic_tangency_names_the_failing_component():
+    # mu = (y1, y2 + x1 y3, y3); a flow that gains y1 d/dy2 moves only mu[1]
+    cs = cone.adapted_cone(twisted_coframe(), fermat())
+    ic = cs.induced
+    comps = list(ic.gamma.components)
+    comps[4] = comps[4] + RatFunc.var(6, 3)
+    vars(ic)["gamma"] = VectorField(ic.chart, tuple(comps))
+    report = cone.geodesic_tangency_check(cs)
+    assert not report.verdict
+    assert report.details == {"gamma_mu": {1: "y1"}}
+
+
+def test_geodesic_tangency_is_the_derivative_of_the_cone_equation():
+    # gamma(mu) = 0 gives gamma(f(mu)) = 0 by the chain rule; the expanded
+    # equation confirms it on a random coframe
+    cf = random_polynomial_coframe(Chart.standard(3), random.Random(31), unimodular=False)
+    cs = cone.adapted_cone(cf, fermat())
+    assert cone.geodesic_tangency_check(cs).verdict
+    assert cs.induced.gamma.apply(cone_equation(cs)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +488,12 @@ def test_characteristic_check_agrees_with_the_sampled_oracle(certify_workload, s
         failures = _sampled_failures(cs, workload.space, 25, case_seed)
         assert report.verdict == (not failures), (index, kind)
         assert [x for x, _ in report.failures] == failures, (index, kind)
+        # each residual is the exact distance to Xi_V by normal equations
+        struct = cs.structure()
+        assert [r for _, r in report.failures] == [
+            math.sqrt(float(xi.membership(xi.HomTensor(cs.n, struct.evaluate_at(x)),
+                                          xi.xi_V(cs.n)).residual))
+            for x in failures], (index, kind)
         verdicts.append((kind, report.verdict))
     assert {(kind, ok) for kind, ok in verdicts} == {
         ("round_trip", True), ("grid_round_trip", True), ("twisted", False)}

@@ -14,7 +14,7 @@ import pytest
 
 from coneflat import xi
 from coneflat._antideriv import GridPotential, LogCombination
-from coneflat.coframe import Chart, Coframe
+from coneflat.coframe import Chart, Coframe, random_polynomial_coframe
 from coneflat.cone import Hypersurface, adapted_cone
 from coneflat.flatten import (
     CertifyConfig,
@@ -118,6 +118,20 @@ def test_heisenberg_not_conformally_closed():
     assert v.witness is not None
     assert v.residual == pytest.approx(1.0, abs=1e-12)
     assert "contraction image" in v.details["residual_metric"]
+
+
+def test_closedness_witness_residual_is_the_membership_residual():
+    # twisted and random coframes that are not conformally closed: the
+    # witness residual, the norm of c - iota(trace c), is the distance to
+    # Xi_V that membership gets from its normal equations
+    coframes = [twisted_coframe()] + [
+        random_polynomial_coframe(CHART, random.Random(f"closed:{i}"), unimodular=i % 2 == 0)
+        for i in range(6)]
+    for cf in coframes:
+        v = conformal_closedness_test(cf)
+        assert v.status == "not_conformally_closed"
+        tensor = xi.HomTensor(3, cf.structure.evaluate_at(v.witness))
+        assert v.residual == math.sqrt(float(xi.membership(tensor, xi.xi_V(3)).residual))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coneflat import _modp, cone, xi
-from coneflat.coframe import Chart, Coframe, random_polynomial_coframe, \
-    structure_function
+from coneflat.coframe import Chart, Coframe, StructureFunction, \
+    random_polynomial_coframe, structure_function
 from coneflat.funcfield import MultiPoly, RatFunc, parse_poly, parse_ratfunc
 
 VARS3 = ["x1", "x2", "x3"]
@@ -150,17 +150,36 @@ def test_iota_wedge_identity_random_pairs():
         assert xi.check_iota_identity(eta, cf)
 
 
-def test_recover_eta_round_trip():
+def constant_structure(tensor: xi.HomTensor) -> StructureFunction:
+    chart = Chart.standard(tensor.n)
+    return StructureFunction(chart, {key: RatFunc.const(tensor.n, val)
+                                     for key, val in tensor.c.items()})
+
+
+def test_contraction_residual_vanishes_on_the_image():
     rng = random.Random(23)
     for n in (3, 4, 5):
         eta = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-        assert xi.recover_eta(xi.iota(eta)) == eta
+        sf = constant_structure(xi.iota(eta))
+        assert [c.constant_value() for c in sf.trace_covector()] == eta
+        assert sf.contraction_residual().is_zero()
 
 
-def test_recover_eta_rejects_off_image():
-    # the Heisenberg tensor c^3_{12} = 1 is not a contraction
+def test_contraction_residual_is_the_distance_to_xi_V():
+    # the Heisenberg tensor c^3_{12} = 1 is not a contraction; nor are
+    # random constant tensors, whose residual norm matches the normal
+    # equations of membership
     t = xi.HomTensor(3, {(2, 0, 1): Fraction(1)})
-    assert xi.recover_eta(t) is None
+    residual = constant_structure(t).contraction_residual()
+    assert residual.components == {(2, 0, 1): RatFunc.const(3, 1)}
+    rng = random.Random(24)
+    for n in (3, 4):
+        t = xi.HomTensor.from_coordinates(
+            n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(xi.coordinate_dim(n))])
+        point = (Fraction(0),) * n
+        assert constant_structure(t).contraction_residual().norm_sq_at(point) \
+            == xi.membership(t, xi.xi_V(n)).residual
 
 
 def test_xi_V_dimensions():
@@ -234,10 +253,13 @@ def test_structure_functions_of_models_against_xi_V():
     c_resc = structure_function(rescaled_coframe()).evaluate_at(point)
     t_resc = xi.HomTensor(3, dict(c_resc))
     assert xi.membership(t_resc, space).member
-    assert xi.recover_eta(t_resc) == [Fraction(1), Fraction(0), Fraction(0)]
     c_heis = structure_function(heisenberg_coframe()).evaluate_at(point)
     t_heis = xi.HomTensor(3, dict(c_heis))
     assert not xi.membership(t_heis, space).member
+    # the same verdicts as rational-function identities
+    assert structure_function(rescaled_coframe()).contraction_residual().is_zero()
+    heis = structure_function(heisenberg_coframe()).contraction_residual()
+    assert heis.components == {(2, 0, 1): RatFunc.const(3, 1)}
 
 
 # ---------------------------------------------------------------------------
