@@ -9,22 +9,21 @@ verification of the bracket identities tying them together.
 
 Each derived object is computed once, on first use, and every check
 reads it: Coframe.dual (one mat_inverse), Coframe.structure (verified)
-and Coframe.induced, whose InducedCoframe holds the tangent frames from
-one tangent_dual_frame call, the geodesic flow gamma and the exact
-verdict of the bracket identity [(D_lambda)_a, gamma] = (D_theta)_a.
-The induced facts are each proved once, from small operands: the
-pairing of (theta, lambda) with its dual frames follows from A B = I,
-checked at n x n on the base chart; the mu relations follow from it
-once the lambda rows are seen to be d mu, entry by entry; gamma is
-its closed form (y, -B E y) rather than a sum of cancelling terms; and
-the structure function of the induced pair is never built on the
-tangent chart: theta = pi* omega and lambda = d mu, both read off M
-entry by entry, make it the lifted base structure function in the
-theta-theta block and zero elsewhere.  A coframe holds its induced
-coframe weakly: InducedCoframe.base points back at it, and a strong
-cycle would keep a discarded coframe's expressions alive until the
-cyclic garbage collector runs.  So the induced coframe is shared while
-some caller, such as a ConeStructure, holds it.
+and Coframe.induced, whose InducedCoframe holds the pairing proof, the
+geodesic flow gamma, the verdict of [(D_lambda)_a, gamma] = (D_theta)_a
+and the tangent frames, which only the double bracket builds.  The
+induced facts are each proved once, from small operands: the pairing
+of (theta, lambda) with its dual frames follows from A B = I, checked
+at n x n on the base chart; the mu relations and the bracket identity
+follow from it once the lambda rows are seen to be d mu, entry by
+entry; gamma is its closed form (y, -B E y); and the induced structure
+function is never built: theta = pi* omega and lambda = d mu make it
+the lifted base one in the theta-theta block and zero elsewhere.  A
+coframe holds its induced coframe weakly: InducedCoframe.base points
+back at it, and a strong cycle would keep a discarded coframe's
+expressions alive until the cyclic garbage collector runs.  So the
+induced coframe is shared while some caller, such as a ConeStructure,
+holds it.
 
 Sign convention: with c defined by d omega^k = sum_{a<b} c^k_{ab}
 omega^a wedge omega^b, the dual-frame fields satisfy
@@ -363,12 +362,6 @@ class AntisymmetricComponents:
     def is_zero(self) -> bool:
         return not self.components
 
-    def norm_sq_at(self, point) -> Fraction:
-        """Squared Euclidean norm of the tensor at point, over the
-        coordinates (k, i < j)."""
-        return sum((val.evaluate(point) ** 2 for val in self.components.values()),
-                   Fraction(0))
-
 
 class VValuedForm2(AntisymmetricComponents):
     """Vector-valued 2-form: component k is sum_{i<j} w[k,i,j] dx_i ^ dx_j."""
@@ -395,37 +388,48 @@ class StructureFunction(AntisymmetricComponents):
     def evaluate_at(self, point) -> dict[tuple[int, int, int], Fraction]:
         return {key: val.evaluate(point) for key, val in self.components.items()}
 
-    def trace_covector(self) -> list[RatFunc]:
-        """The covector xi with xi_j = (1/(1-n)) sum_k c^k_{kj}.
+    @cached_property
+    def _xi_and_residual(self) -> tuple[tuple[RatFunc, ...], AntisymmetricComponents]:
+        n = self.chart.n
+        xi, residual = _trace_and_residual(n, self.components, RatFunc.const(n, 0))
+        return xi, AntisymmetricComponents(self.chart, residual)
+
+    def trace_covector(self) -> tuple[RatFunc, ...]:
+        """The covector xi with xi_j = (1/(1-n)) sum_k c^k_{kj}, built once.
 
         When c lies in the image of the contraction map this inverts it
         symbolically; contraction_residual says whether c = iota(xi).
         """
-        n = self.chart.n
-        scale = Fraction(1, 1 - n)
-        out = []
-        for j in range(n):
-            acc = RatFunc.const(n, 0)
-            for k in range(n):
-                acc = acc + self.get(k, k, j)
-            out.append(acc * scale)
-        return out
+        return self._xi_and_residual[0]
 
     def contraction_residual(self) -> AntisymmetricComponents:
-        """c - iota(xi), xi = trace_covector().  The iota(e_a) are
-        orthogonal of squared norm n - 1 with <c, iota(e_a)> = (n - 1) xi_a,
-        so iota(xi) projects c onto Xi_V: the result is zero exactly when c
-        lies in Xi_V, and its norm_sq_at x is c(x)'s squared distance to it."""
-        n = self.chart.n
-        xi = self.trace_covector()
-        zero = RatFunc.const(n, 0)
-        residual = dict(self.components)
-        for i in range(n):
-            for j in range(i + 1, n):
-                # iota(xi)^k_{ij} = xi_i delta^k_j - xi_j delta^k_i
-                residual[(j, i, j)] = residual.get((j, i, j), zero) - xi[i]
-                residual[(i, i, j)] = residual.get((i, i, j), zero) + xi[j]
-        return AntisymmetricComponents(self.chart, residual)
+        """c - iota(xi), xi = trace_covector(), built once.  The iota(e_a)
+        are orthogonal of squared norm n - 1 with <c, iota(e_a)> =
+        (n - 1) xi_a, so iota(xi) projects c onto Xi_V: the result is zero
+        exactly when c lies in Xi_V (its norm: residual_norm_sq)."""
+        return self._xi_and_residual[1]
+
+    def residual_norm_sq(self, values: dict[tuple[int, int, int], Fraction]) -> Fraction:
+        """c(x)'s squared distance to Xi_V from values = evaluate_at(x):
+        c(x) - iota(trace c(x)), over Q, with no second evaluation."""
+        _, residual = _trace_and_residual(self.chart.n, values, Fraction(0))
+        return sum((v * v for v in residual.values()), Fraction(0))
+
+
+def _trace_and_residual(n: int, comps: dict, zero):
+    """(xi, c - iota(xi)) for c's (k, i < j) components, functions or
+    numbers: iota(xi)^k_{ij} = xi_i delta^k_j - xi_j delta^k_i."""
+    scale = Fraction(1, 1 - n)
+    # c^k_{kj} is stored at (k, k, j) when k < j and at -(k, j, k) when k > j
+    xi = tuple((sum((comps.get((k, k, j), zero) for k in range(j)), zero)
+                - sum((comps.get((k, j, k), zero) for k in range(j + 1, n)), zero)) * scale
+               for j in range(n))
+    residual = dict(comps)
+    for i in range(n):
+        for j in range(i + 1, n):
+            residual[(j, i, j)] = residual.get((j, i, j), zero) - xi[i]
+            residual[(i, i, j)] = residual.get((i, i, j), zero) + xi[j]
+    return xi, residual
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +607,10 @@ class InducedCoframe:
     Row k (k < n) is theta^k; row n+k is lambda^k = d mu^k where
     mu = A(x) y.  Columns run over (dx_1..dx_n, dy_1..dy_n), so the
     matrix is M = [[A, 0], [E, A]] with E[k][l] = sum_j (d_l A[k][j]) y_j.
-    The dual frames, the geodesic flow and the verdict of the bracket
-    identity [(D_lambda)_a, gamma] = (D_theta)_a are computed on first
-    use and shared by every check; each rests on A B = I, which
-    tangent_dual_frame proves once on the base chart.
+    The pairing proof, the geodesic flow, the verdict of the bracket
+    identity [(D_lambda)_a, gamma] = (D_theta)_a and the dual frames are
+    computed on first use and shared; only the double bracket reads the
+    frames, so no check here builds -B E B.
     """
 
     base: Coframe
@@ -640,6 +644,24 @@ class InducedCoframe:
                      for s in range(2 * n))
 
     @cached_property
+    def lifted_dual(self) -> Matrix:
+        """The base dual frame B, lifted to the tangent chart."""
+        return tuple(tuple(map(self.lift, row)) for row in self.base.dual.matrix)
+
+    @cached_property
+    def pairing(self) -> bool:
+        """The pairing identity M N = I_2n, N = [[B, 0], [-B E B, B]].
+
+        M N = [[A B, 0], [E B - A B E B, A B]], which is I_2n whenever
+        A B = I_n, for any E.  So it is proved by block_form and A B = I_n
+        at n x n on the base chart; True, or SingularCoframeError.
+        """
+        cf = self.base
+        if not self.block_form or mat_mul(cf.a, cf.dual.matrix) != mat_identity(self.n, self.n):
+            raise SingularCoframeError("induced dual frame failed the pairing identity")
+        return True
+
+    @cached_property
     def frames(self) -> tuple[FrameField, FrameField]:
         """(D_theta, D_lambda), from one call of tangent_dual_frame."""
         return tangent_dual_frame(self)
@@ -650,22 +672,33 @@ class InducedCoframe:
 
         D_theta is the first n columns of [[B, 0], [-B E B, B]] and
         mu = A y, so gamma = (B A y, -B E B A y) = (y, -B (E y)): B A = I
-        follows from the A B = I that tangent_dual_frame proved, as the
-        matrices are square.
+        follows from the A B = I of the pairing proof, as the matrices
+        are square.
         """
         n = self.n
-        b2 = self.frames[0].matrix[:n]
+        self.pairing        # proves A B = I, or raises
         y = [[RatFunc.var(2 * n, n + j)] for j in range(n)]
-        bey = mat_mul(b2, mat_mul([row[:n] for row in self.matrix[n:]], y))
+        bey = mat_mul(self.lifted_dual, mat_mul([row[:n] for row in self.matrix[n:]], y))
         return VectorField(self.chart, tuple(v for (v,) in y) + tuple(-v for (v,) in bey))
 
     @cached_property
     def bracket_identity(self) -> bool:
-        """Whether [(D_lambda)_a, gamma] = (D_theta)_a for every a,
-        exactly; the brackets themselves are not kept."""
-        d_theta, d_lambda = self.frames
-        return all(d_lambda.vector(a).bracket(self.gamma).components
-                   == d_theta.vector(a).components for a in range(self.n))
+        """Whether [(D_lambda)_a, gamma] = (D_theta)_a for every a: the
+        pairing proof and rows_are_dmu, with no bracket computed.
+
+        With (D_theta)_a = (B_{.a}, -(B E B)_{.a}), (D_lambda)_a =
+        (0, B_{.a}) and gamma = (y, -B E y), B lifted from the base:
+        - the x-parts of both sides are B_{ja};
+        - the y-part of [(D_lambda)_a, gamma] is
+          -[B ((y.grad) A) B]_{ma} - (B E B)_{ma} - [(y.grad) B]_{ma},
+          as d_{y_p} E_{kl} = d_l A_{kp}, both d^2 mu^k once the lambda
+          rows are d mu (rows_are_dmu) with dy-part A (block_form);
+        - the y-part of (D_theta)_a is -(B E B)_{ma}.
+        So the identity is B ((y.grad) A) B + (y.grad) B = 0, that is
+        B (y.grad)(A B) = 0, true as A B = I_n.  A lambda row off d mu
+        leaves it unproved: the verdict is False.
+        """
+        return self.pairing and all(self.rows_are_dmu)
 
 
 def _build_induced_coframe(cf: Coframe) -> InducedCoframe:
@@ -709,19 +742,12 @@ def tangent_dual_frame(ic: InducedCoframe) -> tuple[FrameField, FrameField]:
     """Dual frames (D_theta, D_lambda) of the induced coframe, proved.
 
     They are the columns of N = [[B, 0], [-B E B, B]], with B the base
-    dual frame.  For M = [[A, 0], [E, A]],
-    M N = [[A B, 0], [E B - A B E B, A B]], which is I_2n whenever
-    A B = I_n, for any E.  So the pairing identity M N = I_2n is proved
-    by checking A B = I_n exactly at n x n on the base chart, after
-    checking entry by entry that M has that block form with cf.a as A
-    (ic.block_form); if either fails, SingularCoframeError is raised.
+    dual frame; ic.pairing proves M N = I_2n (or raises).
     """
+    ic.pairing          # proves M N = I_2n, or raises
     n = ic.n
-    cf = ic.base
     zero = RatFunc.const(2 * n, 0)
-    if not ic.block_form or mat_mul(cf.a, cf.dual.matrix) != mat_identity(n, n):
-        raise SingularCoframeError("induced dual frame failed the pairing identity")
-    b2 = tuple(tuple(map(ic.lift, row)) for row in cf.dual.matrix)
+    b2 = ic.lifted_dual
     e = [row[:n] for row in ic.matrix[n:]]
     minus_beb = tuple(tuple(-entry for entry in row) for row in mat_mul(b2, mat_mul(e, b2)))
     return (FrameField(ic.chart, b2 + minus_beb),
@@ -732,26 +758,14 @@ def check_dual_relations(ic: InducedCoframe) -> dict[str, bool]:
     """The pairing relations of the induced pair, each checked exactly.
 
     The four pairings are the blocks of M . [D_theta | D_lambda] = I_2n,
-    which tangent_dual_frame proved from A B = I_n when it built
-    ic.frames.  The mu relations are rows n..2n-1 of the same identity
-    once the lambda rows of M are shown to be d mu^k, entry by entry
-    (ic.rows_are_dmu): then D(mu^k) = (d mu^k) N is row n + k of M N.
-    D_lambda has no dx-part, so D_lambda(mu) = I needs only the
-    dy-columns to match.
+    which ic.pairing proves from A B = I_n.  The mu relations are rows
+    n..2n-1 of it once the lambda rows are d mu^k, entry by entry
+    (ic.rows_are_dmu): D(mu^k) = (d mu^k) N is row n + k of M N, and as
+    D_lambda has no dx-part, D_lambda(mu) = I needs only the dy-columns.
     """
-    n = ic.n
-    d_theta, d_lambda = ic.frames
-    results = dict.fromkeys(_PAIRINGS, True)
+    results = dict.fromkeys(_PAIRINGS, ic.pairing)
     results["dtheta_mu_is_zero"] = all(ic.rows_are_dmu)
-    results["dlambda_mu_is_identity"] = all(ic.rows_are_dmu[n:])
-
-    # projection: the x-components of D_theta form the base dual frame
-    b_base = ic.base.dual.matrix
-    results["dpi_dtheta_is_dual_frame"] = all(
-        d_theta.matrix[j][a] == ic.lift(b_base[j][a])
-        for j in range(n) for a in range(n))
-    results["dpi_dlambda_is_zero"] = all(
-        d_lambda.matrix[j][a].is_zero() for j in range(n) for a in range(n))
+    results["dlambda_mu_is_identity"] = all(ic.rows_are_dmu[ic.n:])
     return results
 
 
@@ -766,19 +780,16 @@ def geodesic_flow(cf_or_ic) -> VectorField:
 
 
 def check_geodesic_identities(ic: InducedCoframe) -> dict[str, bool]:
-    """Exact checks: gamma projects to the tautological vector and
-    [D_lambda, gamma] = D_theta."""
-    n = ic.n
-    return {"dpi_gamma_is_tautological": all(
-                ic.gamma.components[j] == RatFunc.var(2 * n, n + j) for j in range(n)),
-            "bracket_dlambda_gamma_is_dtheta": ic.bracket_identity}
+    """[(D_lambda)_a, gamma] = (D_theta)_a for every a, proved with no
+    bracket and no tangent frame (ic.bracket_identity)."""
+    return {"bracket_dlambda_gamma_is_dtheta": ic.bracket_identity}
 
 
 def verify_induced_structure(cf: Coframe) -> CheckReport:
     """Structure function of the induced pair: vanishes outside the
     theta-theta block and that block is the pullback of the base one.
 
-    Proved without building it: ic.frames proves (theta, lambda) a
+    Proved without building it: ic.pairing proves (theta, lambda) a
     coframe with theta = pi* omega (ic.block_form), so d theta^k is the
     lift of sum_{a<b} c^k_{ab} omega^a ^ omega^b, c the verified base
     structure function, and lambda = d mu (ic.rows_are_dmu) gives
@@ -786,7 +797,7 @@ def verify_induced_structure(cf: Coframe) -> CheckReport:
     block is lift(c) and every other component is zero.
     """
     ic = cf.induced
-    ic.frames           # proves (theta, lambda) a coframe, or raises
+    ic.pairing          # proves (theta, lambda) a coframe, or raises
     cf.structure        # the verified base structure function, or raises
     block_ok = ic.block_form and all(ic.rows_are_dmu)
     return CheckReport(name="induced_structure", passed=block_ok,

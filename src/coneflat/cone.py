@@ -376,6 +376,8 @@ def _double_bracket_fields(cs: ConeStructure):
     X = (D_theta)_a, and only its projection d pi is read: component j
     is X(gamma^j) - gamma(X^j).  The dy-components are never formed:
     for the n = 4 "n4seed" coframe they cost about 400 times as much.
+    X(gamma^j) reads the dy-rows -B E B of D_theta: this is the one
+    reader of ic.frames.
     """
     ic = cs.induced
     if not ic.bracket_identity:
@@ -494,8 +496,8 @@ def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
     Xi_Z, with its residual, and the witness is the first of them (None
     if the nonzero combinations vanish at every scanned point).  The
     residual is the exact Euclidean distance from the evaluated tensor to
-    the contraction image Xi_V (converted to float), the norm there of
-    the structure function's contraction_residual.  When dim Xi_Z =
+    the contraction image Xi_V (converted to float), taken from the values
+    already evaluated there (residual_norm_sq).  When dim Xi_Z =
     dim Xi_V and Xi_V is contained in Xi_Z, that distance equals the
     distance to Xi_Z itself; otherwise it is reported under the same
     label but is only an upper bound certificate of nonmembership in
@@ -516,11 +518,10 @@ def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
         return report
     xs = sample_points(cs.coframe.chart, samples, f"{seed}:chi",
                        avoid=cs.coframe.pole_polynomials())
-    off_xi_v = struct.contraction_residual()
     for x in xs:
-        tensor = xi.HomTensor(cs.n, struct.evaluate_at(x))
-        if not xi._annihilates(rows, [tensor.coordinates()], None):
-            report.failures.append((x, math.sqrt(float(off_xi_v.norm_sq_at(x)))))
+        values = struct.evaluate_at(x)
+        if not xi._annihilates(rows, [xi.HomTensor(cs.n, values).coordinates()], None):
+            report.failures.append((x, math.sqrt(float(struct.residual_norm_sq(values)))))
     if report.failures:
         report.witness, report.witness_residual = report.failures[0]
     return report

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from coneflat import _modp, xi
 from coneflat._antideriv import (
@@ -65,13 +64,6 @@ class ClosednessVerdict:
         return self.status != "not_conformally_closed"
 
 
-def _sharp(cf: Coframe, xi_row: Sequence[RatFunc]) -> list[RatFunc]:
-    """Coordinate components of the 1-form sum_a xi_a omega^a."""
-    n = cf.n
-    return [sum((xi_row[a] * cf.a[a][i] for a in range(n)),
-                RatFunc.const(n, 0)) for i in range(n)]
-
-
 def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
                               seed=0) -> ClosednessVerdict:
     """Decide whether some rescaling f*omega is closed, exactly.
@@ -91,10 +83,9 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
     if struct.is_zero():
         return ClosednessVerdict("closed", xi=tuple([zero] * n),
                                  one_form=tuple([zero] * n))
-    off_xi_v = struct.contraction_residual()
-    if off_xi_v.is_zero():
-        xi_row = struct.trace_covector()
-        s = _sharp(cf, xi_row)
+    if struct.contraction_residual().is_zero():
+        xi_row = struct.trace_covector()    # built with the residual
+        s = [sum((xi_row[a] * cf.a[a][i] for a in range(n)), zero) for i in range(n)]
         # d(xi sharp omega) = 0 is implied; a failure here is a bug
         for i in range(n):
             for j in range(i + 1, n):
@@ -104,13 +95,13 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
         if all(c.is_zero() for c in xi_row):
             raise InternalIdentityError(
                 "zero trace covector with nonzero d omega")
-        return ClosednessVerdict("conformally_closed", xi=tuple(xi_row),
+        return ClosednessVerdict("conformally_closed", xi=xi_row,
                                  one_form=tuple(s))
 
     points = sample_points(cf.chart, witness_samples, f"{seed}:cw",
                            avoid=cf.pole_polynomials())
     for x in points:
-        residual = off_xi_v.norm_sq_at(x)
+        residual = struct.residual_norm_sq(struct.evaluate_at(x))
         if residual:
             return ClosednessVerdict(
                 "not_conformally_closed", witness=x,
@@ -146,27 +137,23 @@ class HPotential:
         return (self.symbolic or self.grid).terms()
 
 
-def integrate_h(cf: Coframe, xi_row: Sequence[RatFunc],
+def integrate_h(cf: Coframe, verdict: ClosednessVerdict,
                 quad_tol: float = 1e-10) -> HPotential:
-    """Solve dh = xi sharp omega with h(base) = 0.
+    """Solve dh = s with h(base) = 0, s = verdict.one_form = xi sharp omega.
 
-    The one-form must be exactly closed; that is re-verified here since
-    integration relies on it.  h is the symbolic antiderivative when one
-    verifies exactly, and path quadrature (tolerance quad_tol) when a
-    residue on some denominator base factor is not a rational constant.
+    conformal_closedness_test built s and proved ds = 0; a rejected
+    verdict has none and raises FlattenError.  h is the symbolic
+    antiderivative when one verifies exactly, and path quadrature
+    (tolerance quad_tol) when a residue is not a rational constant.
     """
-    n = cf.n
-    s = _sharp(cf, xi_row)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if s[j].diff(i) != s[i].diff(j):
-                raise FlattenError("xi sharp omega is not closed")
+    s = verdict.one_form
+    if s is None:
+        raise FlattenError(f"a {verdict.status} verdict has no one-form to integrate")
     base = cf.chart.base_point
     combo = integrate_closed_form(s, base)
     if combo is not None:
-        return HPotential("symbolic", tuple(s), symbolic=combo)
-    return HPotential("grid", tuple(s),
-                      grid=GridPotential(s, base, tol=quad_tol))
+        return HPotential("symbolic", s, symbolic=combo)
+    return HPotential("grid", s, grid=GridPotential(s, base, tol=quad_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +449,7 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
             return cert
 
         cert.stage = "integrate_h"
-        h = integrate_h(cs.coframe, verdict.xi, quad_tol=cfg.quad_tol)
+        h = integrate_h(cs.coframe, verdict, quad_tol=cfg.quad_tol)
         cert.h = h
 
         cert.stage = "conformal_factor"

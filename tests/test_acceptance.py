@@ -187,7 +187,7 @@ def test_acceptance_07_closedness_both_directions():
     f = None
     d_f_omega_zero = False
     if forward:
-        h = integrate_h(cf, verdict.xi)
+        h = integrate_h(cf, verdict)
         factor = conformal_factor(cf, h, validation_samples=10, seed=0)
         f = factor.rational
         scaled = Coframe(CHART, [[f * e for e in row] for row in cf.a])

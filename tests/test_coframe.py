@@ -341,7 +341,6 @@ def test_geodesic_flow_projection_instance():
 def test_geodesic_identities_heisenberg():
     ic = induced_coframe(heisenberg_coframe())
     results = check_geodesic_identities(ic)
-    assert results["dpi_gamma_is_tautological"]
     assert results["bracket_dlambda_gamma_is_dtheta"]
 
 
@@ -351,6 +350,37 @@ def test_geodesic_identities_random():
     ic = induced_coframe(cf)
     results = check_geodesic_identities(ic)
     assert all(results.values()), results
+
+
+def bracket_identity_oracle(ic) -> bool:
+    """[(D_lambda)_a, gamma] = (D_theta)_a by brute force: n Lie brackets
+    on the tangent chart, against the proof in ic.bracket_identity."""
+    d_theta, d_lambda = ic.frames
+    return all(d_lambda.vector(a).bracket(ic.gamma).components
+               == d_theta.vector(a).components for a in range(ic.n))
+
+
+def test_bracket_identity_agrees_with_the_brute_force_brackets_heisenberg():
+    ic = induced_coframe(heisenberg_coframe())
+    assert ic.bracket_identity and bracket_identity_oracle(ic)
+
+
+@pytest.mark.parametrize("unimodular", [True, False])
+@pytest.mark.parametrize("seed", [11, 12])
+def test_bracket_identity_agrees_with_the_brute_force_brackets_random(seed, unimodular):
+    cf = random_polynomial_coframe(CHART, random.Random(seed), unimodular=unimodular)
+    ic = induced_coframe(cf)
+    assert ic.bracket_identity and bracket_identity_oracle(ic)
+
+
+def test_induced_checks_build_no_tangent_frames():
+    cf = random_polynomial_coframe(CHART, random.Random(77), unimodular=False)
+    ic = induced_coframe(cf)
+    assert all(check_dual_relations(ic).values())
+    assert all(check_geodesic_identities(ic).values())
+    assert verify_induced_structure(cf).passed
+    ic.gamma
+    assert "frames" not in ic.__dict__
 
 
 def test_corrupted_lambda_row_fails_the_mu_relations_and_the_double_bracket():
@@ -363,6 +393,7 @@ def test_corrupted_lambda_row_fails_the_mu_relations_and_the_double_bracket():
     # D_lambda has no dx-part, so the dy-columns alone still give D_lambda(mu) = I
     assert relations["dlambda_mu_is_identity"]
     assert not check_geodesic_identities(bad)["bracket_dlambda_gamma_is_dtheta"]
+    assert not bracket_identity_oracle(bad)
     cs.induced = bad
     report = double_bracket_check(cs, samples=4, seed=1)
     assert not report.verdict and not report.identity_exact

@@ -140,7 +140,7 @@ def test_closedness_witness_residual_is_the_membership_residual():
 
 def test_integrate_h_symbolic_rescaled():
     v = conformal_closedness_test(rescaled_coframe())
-    h = integrate_h(rescaled_coframe(), v.xi)
+    h = integrate_h(rescaled_coframe(), v)
     assert h.mode == "symbolic"
     pt = (0.5, 0.1, -0.2)
     assert h.evaluate(pt) == pytest.approx(-math.log(0.5), rel=1e-12)
@@ -152,22 +152,25 @@ def test_integrate_h_grid_mode_two_paths():
     cf = atan_coframe("x1")
     v = conformal_closedness_test(cf)
     assert v.one_form[0] == R("-1/(1 + x1^2)")
-    h = integrate_h(cf, v.xi)
+    h = integrate_h(cf, v)
     assert h.mode == "grid" and h.symbolic is None
     for pt in [(0.4, 0.2, -0.3), (-0.6, 0.5, 0.1), (0.8, -0.7, 0.6)]:
         assert h.evaluate(pt) == pytest.approx(-math.atan(pt[0]), abs=1e-9)
     assert h.grid.max_path_residual() < 1e-10
 
 
-def test_integrate_h_rejects_nonclosed_covector():
-    with pytest.raises(FlattenError):
-        integrate_h(flat_coframe(), (R("x2"), R("0"), R("0")))
+def test_integrate_h_rejects_a_rejected_verdict():
+    cf = heisenberg_coframe()
+    verdict = conformal_closedness_test(cf)
+    assert verdict.status == "not_conformally_closed" and verdict.one_form is None
+    with pytest.raises(FlattenError, match="no one-form"):
+        integrate_h(cf, verdict)
 
 
 def test_conformal_factor_exact_rescaled():
     cf = rescaled_coframe()
     v = conformal_closedness_test(cf)
-    h = integrate_h(cf, v.xi)
+    h = integrate_h(cf, v)
     fac = conformal_factor(cf, h)
     assert fac.kind == "rational"
     assert fac.rational == R("1 - x1")
@@ -179,7 +182,7 @@ def test_conformal_factor_numeric_path():
     # a quadrature h takes the float validation
     cf = atan_coframe("x1")
     v = conformal_closedness_test(cf)
-    h = integrate_h(cf, v.xi)
+    h = integrate_h(cf, v)
     fac = conformal_factor(cf, h, validation_samples=10, seed=4)
     assert fac.kind == "numeric"
     assert fac.samples == 10
@@ -199,7 +202,7 @@ def test_conformal_factor_rejects_a_two_path_discrepancy(monkeypatch, fermat, fe
 
     monkeypatch.setattr(_antideriv, "path_integral", skewed)
     cf = atan_coframe("x1")
-    h = integrate_h(cf, conformal_closedness_test(cf).xi)
+    h = integrate_h(cf, conformal_closedness_test(cf))
     with pytest.raises(InternalIdentityError, match="two-path discrepancy"):
         conformal_factor(cf, h, validation_samples=10, seed=4, tol=1e-9)
     cert = certify(adapted_cone(cf, fermat), fermat_xiz, CertifyConfig(seed=4))
@@ -244,7 +247,7 @@ def test_flat_model_zeta_is_translation():
 def test_rescaled_zeta_is_translation():
     cf = rescaled_coframe()
     v = conformal_closedness_test(cf)
-    fac = conformal_factor(cf, integrate_h(cf, v.xi))
+    fac = conformal_factor(cf, integrate_h(cf, v))
     chart = flat_coordinates(cf, fac)
     assert chart.mode == "symbolic"
     for k in range(3):

@@ -31,6 +31,7 @@ from coneflat.funcfield import (
     term_bound,
     DEFAULT_TERM_BOUND,
 )
+from test_coframe import bracket_identity_oracle
 
 N = 3
 VARS = ("x1", "x2", "x3")
@@ -200,11 +201,13 @@ def test_n4_coframe_identities_under_the_default_term_bound():
     ic = cf.induced
     assert all(check_dual_relations(ic).values())
     assert all(check_geodesic_identities(ic).values())
+    assert bracket_identity_oracle(ic)      # builds ic.frames, -B E B included
 
 
 def test_n4_coframe_identities_under_a_tenth_of_the_default_term_bound():
     # the pairing proof at n x n and the closed-form gamma keep every
-    # expression of this coframe under 10,000 terms
+    # expression of this coframe under 10,000 terms, and so do the
+    # tangent frames and the brute-force brackets on them
     cf = random_polynomial_coframe(Chart.standard(4), random.Random("n4seed"),
                                    unimodular=False)
     saved = term_bound()
@@ -213,6 +216,7 @@ def test_n4_coframe_identities_under_a_tenth_of_the_default_term_bound():
         ic = cf.induced
         assert all(check_dual_relations(ic).values())
         assert all(check_geodesic_identities(ic).values())
+        assert bracket_identity_oracle(ic)
     finally:
         set_term_bound(saved)
 

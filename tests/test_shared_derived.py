@@ -1,6 +1,7 @@
 """Each derived object of a coframe is built once and shared: the dual
 frame, the structure function, the induced coframe and, on it, the
-tangent frames, the geodesic flow and the brackets [(D_lambda)_a, gamma]."""
+tangent frames, the geodesic flow and the verdict of
+[(D_lambda)_a, gamma] = (D_theta)_a."""
 from __future__ import annotations
 
 import gc

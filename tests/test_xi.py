@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coneflat import _modp, cone, xi
 from coneflat.coframe import Chart, Coframe, StructureFunction, \
-    random_polynomial_coframe, structure_function
+    random_polynomial_coframe, sample_points, structure_function
 from coneflat.funcfield import MultiPoly, RatFunc, parse_poly, parse_ratfunc
 
 VARS3 = ["x1", "x2", "x3"]
@@ -178,8 +178,20 @@ def test_contraction_residual_is_the_distance_to_xi_V():
             n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 for _ in range(xi.coordinate_dim(n))])
         point = (Fraction(0),) * n
-        assert constant_structure(t).contraction_residual().norm_sq_at(point) \
+        sf = constant_structure(t)
+        assert sf.residual_norm_sq(sf.evaluate_at(point)) \
             == xi.membership(t, xi.xi_V(n)).residual
+
+
+def test_residual_norm_from_values_is_the_evaluated_residual():
+    cf = random_polynomial_coframe(Chart.standard(3), random.Random(25), unimodular=False)
+    sf = structure_function(cf)
+    residual = sf.contraction_residual()
+    assert not residual.is_zero()
+    assert sf.contraction_residual() is residual
+    for point in sample_points(cf.chart, 4, 25, avoid=cf.pole_polynomials()):
+        assert sf.residual_norm_sq(sf.evaluate_at(point)) \
+            == sum(c.evaluate(point) ** 2 for c in residual.components.values())
 
 
 def test_xi_V_dimensions():
