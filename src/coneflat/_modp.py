@@ -4,14 +4,13 @@
 reduces over GF(p) when given a prime, and otherwise with the entries'
 own field operations, which covers ``Fraction`` and ``RatFunc``
 matrices; ``rank`` and ``determinant`` run only its forward pass.  GF(p)
-echelon forms enter through ``rref_mod``; the kernel of a single row (a
-tangent space of a cone point) is written down by ``kernel_of_row_mod``.
-Each pivot step touches only the columns from the pivot column on: left
-of it the pivot row is already zero.  Prime-field values are plain
-Python ints reduced mod p, so there is no overflow concern for
-word-sized primes.  Matrices are lists of rows; univariate polynomials
-are coefficient lists indexed by power (little endian) with no trailing
-zeros.  Mod-p evaluation of multivariate polynomials lives in
+echelon forms enter through ``rref_mod``, and kernels through
+``kernel_mod``.  Each pivot step touches only the columns from the
+pivot column on: left of it the pivot row is already zero.  Prime-field
+values are plain Python ints reduced mod p, so there is no overflow
+concern for word-sized primes.  Matrices are lists of rows; univariate
+polynomials are coefficient lists indexed by power (little endian) with
+no trailing zeros.  Mod-p evaluation of multivariate polynomials lives in
 ``funcfield.evaluate_reduced``.
 
 ``poly_roots`` finds the roots in GF(p) by Cantor-Zassenhaus (Cantor and
@@ -23,7 +22,9 @@ coefficient is reduced mod p once, and a multiply by x + a is a shift
 plus one reduction step.  Quadratic factors are split with the same
 arithmetic on two scalars.  Its contract with seeded samplers: it
 advances the caller's generator by exactly the Cantor-Zassenhaus draws,
-one ``rng.randrange(p)`` per splitting attempt, in a fixed order.
+one ``rng.randrange(p)`` per splitting attempt, in a fixed order.  Its
+one caller is ``xi.sample_variety_points_modp``; no verdict of the
+package draws cone points.
 
 Internal module: the public API re-exports what callers need.
 """
@@ -170,26 +171,6 @@ def rank(rows: Sequence[Sequence], p: int | None = None) -> int:
 def kernel_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis (list of length-ncols vectors) of {v : A v = 0 mod p}."""
     return kernel_from_rref(*rref_mod(rows, p), ncols, p)
-
-
-def kernel_of_row_mod(row: Sequence[int], p: int) -> list[list[int]]:
-    """``kernel_mod([row], len(row), p)`` written down without
-    elimination: with pivot c the first column where row[c] != 0 mod p,
-    free column f has basis vector e_f with entry -row[f] / row[c] at c.
-    A zero row has the unit vectors as its kernel."""
-    ncols = len(row)
-    pivot = next((c for c, v in enumerate(row) if v % p), None)
-    if pivot is None:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    scale = -pow(row[pivot], -1, p)
-    basis = []
-    for free in range(ncols):
-        if free != pivot:
-            vec = [0] * ncols
-            vec[free] = 1
-            vec[pivot] = row[free] * scale % p
-            basis.append(vec)
-    return basis
 
 
 def kernel_from_rref(reduced: Sequence[Sequence], pivots: Sequence[int], ncols: int,

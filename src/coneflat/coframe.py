@@ -8,27 +8,31 @@ exterior derivatives, structure functions, the induced coframe
 verification of the bracket identities tying them together.
 
 Each derived object is computed once, on first use, and every check
-reads it: Coframe.dual (one mat_inverse), Coframe.structure (verified)
-and Coframe.induced, whose InducedCoframe holds the pairing proof, the
-geodesic flow gamma, the verdict of [(D_lambda)_a, gamma] = (D_theta)_a
-and the tangent frames, which only the double bracket builds.  The
-induced facts are each proved once, from small operands: the pairing
-of (theta, lambda) with its dual frames follows from A B = I, checked
-at n x n on the base chart; the mu relations and the bracket identity
-follow from it once the lambda rows are seen to be d mu, entry by
-entry; gamma is its closed form (y, -B E y); and the induced structure
-function is never built: theta = pi* omega and lambda = d mu make it
-the lifted base one in the theta-theta block and zero elsewhere.  A
-coframe holds its induced coframe weakly: InducedCoframe.base points
-back at it, and a strong cycle would keep a discarded coframe's
-expressions alive until the cyclic garbage collector runs.  So the
-induced coframe is shared while some caller, such as a ConeStructure,
-holds it.
+reads it: Coframe.dual (one mat_inverse), Coframe.pairing (A B = I,
+one mat_mul), Coframe.structure (proved by that pairing) and
+Coframe.induced, whose InducedCoframe holds the pairing proof of
+(theta, lambda), the geodesic flow gamma and the verdict of
+[(D_lambda)_a, gamma] = (D_theta)_a.  Every fact is proved once, from
+small operands, and all of them rest on the one A B = I: the
+structure function is the contraction of d omega with B, whose
+reconstruction through A it implies; the pairing of (theta, lambda)
+with its dual frames follows from it and the block form of the
+induced matrix; the mu relations and the bracket identity follow once
+the lambda rows are seen to be d mu, entry by entry; gamma is its
+closed form (y, -B E y); and the induced structure function is never
+built: theta = pi* omega and lambda = d mu make it the lifted base one
+in the theta-theta block and zero elsewhere.  No check builds the
+tangent frames or takes a Lie bracket.  A coframe holds its induced
+coframe weakly: InducedCoframe.base points back at it, and a strong
+cycle would keep a discarded coframe's expressions alive until the
+cyclic garbage collector runs.  So the induced coframe is shared while
+some caller, such as a ConeStructure, holds it.
 
 Sign convention: with c defined by d omega^k = sum_{a<b} c^k_{ab}
 omega^a wedge omega^b, the dual-frame fields satisfy
 [D_a, D_b] = - sum_k c^k_{ab} D_k.  The minus sign is forced by the
-concrete formulas and is asserted, not assumed, by the bracket checks.
+concrete formulas; the brute-force bracket oracles of the test suite
+confirm it.
 """
 
 from __future__ import annotations
@@ -234,6 +238,16 @@ class Coframe:
     def dual(self) -> FrameField:
         """The dual frame B = A^{-1}, from one mat_inverse."""
         return FrameField(self.chart, mat_inverse(self.a))
+
+    @cached_property
+    def pairing(self) -> bool:
+        """A B = I_n for B = self.dual, multiplied once: True, or
+        SingularCoframeError on every read.  It is the pairing
+        omega^k(D_b) = delta^k_b, and the one proof that the structure
+        function and the induced pairing rest on."""
+        if mat_mul(self.a, self.dual.matrix) != mat_identity(self.n, self.n):
+            raise SingularCoframeError("dual frame fails A B = I")
+        return True
 
     @property
     def structure(self) -> StructureFunction:
@@ -458,14 +472,19 @@ def exterior_derivative(cf: Coframe) -> VValuedForm2:
 def structure_function(cf: Coframe, verify: bool = True) -> StructureFunction:
     """The unique c with d omega^k = sum_{a<b} c^k_{ab} omega^a ^ omega^b.
 
-    Computed by contracting d omega with the dual frame; when verify is
-    set (the default) the reconstruction through A is checked to be an
-    exact identity, so a returned value is a proof.  A verified result
-    is stored on cf and returned by later calls and by cf.structure; a
-    failed reconstruction stores nothing and raises on every call.
+    Computed by contracting d omega = W with the dual frame:
+    c^k = B^T W^k B on antisymmetric matrices.  When verify is set (the
+    default) cf.pairing proves A B = I, and with it the reconstruction
+    A^T c^k A = (B A)^T W^k (B A) = W^k, since B A = I for square
+    matrices; so a returned value is a proof.  A verified result is
+    stored on cf and returned by later calls and by cf.structure; a
+    failed pairing stores nothing and raises SingularCoframeError on
+    every call.  verify=False returns an unstored, unproved value.
     """
     if cf._structure is not None:
         return cf._structure
+    if verify:
+        cf.pairing          # proves A B = I, or raises
     n = cf.n
     w = exterior_derivative(cf)
     b = cf.dual.matrix
@@ -485,59 +504,17 @@ def structure_function(cf: Coframe, verify: bool = True) -> StructureFunction:
                     comps[key] = term
     sf = StructureFunction(cf.chart, comps)
     if verify:
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    acc = RatFunc.const(n, 0)
-                    for (kk, a, bb), c in sf.components.items():
-                        if kk != k:
-                            continue
-                        wedge = cf.a[a][i] * cf.a[bb][j] - cf.a[bb][i] * cf.a[a][j]
-                        if not wedge.is_zero():
-                            acc = acc + c * wedge
-                    if acc != w.get(k, i, j):
-                        raise FuncFieldError(
-                            "structure function reconstruction failed; "
-                            "the coframe data is inconsistent")
         cf._structure = sf
     return sf
 
 
 @dataclass
 class CheckReport:
-    """Outcome of an identity check, proved or refuted exactly; the
-    residual of an exact check is 0."""
+    """Outcome of an identity check, proved or refuted exactly."""
 
     name: str
     passed: bool
-    max_residual: object = 0
     details: dict = field(default_factory=dict)
-
-
-def frame_bracket_check(cf: Coframe) -> CheckReport:
-    """Prove [D_a, D_b] = - sum_k c^k_{ab} D_k for the dual frame, as an
-    identity of rational functions; details["exact_identity"] is the
-    verdict."""
-    n = cf.n
-    frame = cf.dual
-    sf = cf.structure
-    diffs = []
-    for a in range(n):
-        va = frame.vector(a)
-        for b_idx in range(a + 1, n):
-            bracket = va.bracket(frame.vector(b_idx))
-            expected = []
-            for j in range(n):
-                acc = RatFunc.const(n, 0)
-                for k in range(n):
-                    c = sf.get(k, a, b_idx)
-                    if not c.is_zero():
-                        acc = acc - c * frame.matrix[j][k]
-                expected.append(acc)
-            diffs.append([bracket.components[j] - expected[j] for j in range(n)])
-    exact_ok = all(d.is_zero() for row in diffs for d in row)
-    return CheckReport(name="frame_bracket", passed=exact_ok,
-                       details={"exact_identity": exact_ok})
 
 
 def check_d_lemma(cf: Coframe, f: RatFunc) -> bool:
@@ -553,37 +530,6 @@ def check_d_lemma(cf: Coframe, f: RatFunc) -> bool:
         if acc != f.diff(j):
             return False
     return True
-
-
-def pullback_linear(cf: Coframe, lmat: Sequence[Sequence[Fraction]]) -> Coframe:
-    """Pull the coframe back along the linear chart map x -> L x.
-
-    The new base point is L^{-1} (old base), so the old base stays in
-    the image; the structure function of the result at x equals the
-    original structure function at L x.
-    """
-    n = cf.n
-    solved, pivots = _modp.row_reduce([[Fraction(v) for v in row] + [b]
-                                       for row, b in zip(lmat, cf.chart.base_point)])
-    if pivots != list(range(n)):
-        raise SingularCoframeError("constant matrix is singular")
-    substituted = [RatFunc(MultiPoly(n, {
-        tuple(1 if t == m else 0 for t in range(n)): Fraction(lmat[j][m])
-        for m in range(n) if lmat[j][m] != 0})) if any(lmat[j]) else RatFunc.const(n, 0)
-        for j in range(n)]
-    new_rows = []
-    for k in range(n):
-        composed = [cf.a[k][j].subst(substituted) for j in range(n)]
-        row = []
-        for m in range(n):
-            acc = RatFunc.const(n, 0)
-            for j in range(n):
-                if lmat[j][m] != 0 and not composed[j].is_zero():
-                    acc = acc + composed[j] * Fraction(lmat[j][m])
-            row.append(acc)
-        new_rows.append(row)
-    chart = Chart(n, cf.chart.variables, tuple(row[n] for row in solved))
-    return Coframe(chart, new_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +553,10 @@ class InducedCoframe:
     Row k (k < n) is theta^k; row n+k is lambda^k = d mu^k where
     mu = A(x) y.  Columns run over (dx_1..dx_n, dy_1..dy_n), so the
     matrix is M = [[A, 0], [E, A]] with E[k][l] = sum_j (d_l A[k][j]) y_j.
-    The pairing proof, the geodesic flow, the verdict of the bracket
-    identity [(D_lambda)_a, gamma] = (D_theta)_a and the dual frames are
-    computed on first use and shared; only the double bracket reads the
-    frames, so no check here builds -B E B.
+    The pairing proof, the geodesic flow and the verdict of the bracket
+    identity [(D_lambda)_a, gamma] = (D_theta)_a are computed on first
+    use and shared; none of them builds the dual frames, whose -B E B
+    rows are the costly part (tangent_dual_frame).
     """
 
     base: Coframe
@@ -653,18 +599,13 @@ class InducedCoframe:
         """The pairing identity M N = I_2n, N = [[B, 0], [-B E B, B]].
 
         M N = [[A B, 0], [E B - A B E B, A B]], which is I_2n whenever
-        A B = I_n, for any E.  So it is proved by block_form and A B = I_n
-        at n x n on the base chart; True, or SingularCoframeError.
+        A B = I_n, for any E.  So it is proved by block_form and the base
+        coframe's A B = I_n proof (base.pairing), with no product formed
+        here; True, or SingularCoframeError.
         """
-        cf = self.base
-        if not self.block_form or mat_mul(cf.a, cf.dual.matrix) != mat_identity(self.n, self.n):
+        if not self.block_form:
             raise SingularCoframeError("induced dual frame failed the pairing identity")
-        return True
-
-    @cached_property
-    def frames(self) -> tuple[FrameField, FrameField]:
-        """(D_theta, D_lambda), from one call of tangent_dual_frame."""
-        return tangent_dual_frame(self)
+        return self.base.pairing
 
     @cached_property
     def gamma(self) -> VectorField:
@@ -742,7 +683,10 @@ def tangent_dual_frame(ic: InducedCoframe) -> tuple[FrameField, FrameField]:
     """Dual frames (D_theta, D_lambda) of the induced coframe, proved.
 
     They are the columns of N = [[B, 0], [-B E B, B]], with B the base
-    dual frame; ic.pairing proves M N = I_2n (or raises).
+    dual frame; ic.pairing proves M N = I_2n (or raises).  No check
+    builds them: every identity they enter is proved from A B = I (see
+    InducedCoframe and cone.double_bracket_check), and at n = 5 -B E B
+    alone takes minutes.
     """
     ic.pairing          # proves M N = I_2n, or raises
     n = ic.n

@@ -15,7 +15,8 @@ vectors c, b.  Xi_Z is therefore the sigma-part of the kernel of one
 integer coefficient-match matrix, reduced exactly over each prime field
 or over Q; xi_Z raises XiError when the hypotheses fail.  A float
 backend keeps a numerical kernel of constraints at sampled complex cone
-points, checked against the exact dimension.
+points, checked against the exact dimension; only it imports numpy
+(about 14 MB of resident memory), so the exact paths run without it.
 
 The same match (membership_matrix, for any bidegree and family of
 target forms) decides the two degeneracy probes exactly over Q: Z spans
@@ -33,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from coneflat import _modp
 from coneflat.funcfield import MultiPoly, RatFunc, _fraction_mod, evaluate_reduced
@@ -204,6 +203,7 @@ class TensorSubspace:
                 rank = len(_modp.row_reduce(
                     [[Fraction(v) for v in row] for row in rows])[1])
             else:
+                import numpy as np
                 rank = int(np.linalg.matrix_rank(np.array(rows, dtype=complex),
                                                  tol=tol))
             if rank != len(rows):
@@ -312,6 +312,7 @@ def membership(sigma: HomTensor, space: TensorSubspace,
         return MembershipResult(member, coeffs if member else None,
                                 residual_sq, "rational")
 
+    import numpy as np
     a = np.array(basis_rows, dtype=complex).T
     b = np.array(coords, dtype=complex)
     if a.size == 0:
@@ -416,6 +417,7 @@ def sample_variety_points_complex(z, count: int, seed) -> list[tuple[np.ndarray,
     The float backend works over the complex numbers: real points of a
     positive form (a Fermat quartic, say) would be only the origin.
     """
+    import numpy as np
     f = _poly_of(z)
     n = f.nvars
     gradients = [f.diff(i) for i in range(n)]
@@ -497,6 +499,7 @@ def assemble_xiZ_constraints(z, count: int, seed) -> ConstraintBatch:
     """One row per (complex cone point u, tangent-basis vector v): the
     functional sigma -> grad f(u) . sigma(u, v) in flattened tensor
     coordinates, for the float backend."""
+    import numpy as np
     f = _poly_of(z)
     n = f.nvars
     triples = coordinate_triples(n)
@@ -679,6 +682,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     meta = {"backend": config.backend, "seed": str(config.seed), "dims": {}, "notes": []}
 
     if config.backend == "float":
+        import numpy as np
         batch = assemble_xiZ_constraints(z, max(config.samples, coordinate_dim(n)),
                                          config.seed)
         a = np.array(batch.rows, dtype=complex)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from coneflat import cli, cone
+from coneflat import cli, coframe, cone
 from coneflat.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -17,7 +17,7 @@ from coneflat.cli import (
     main,
 )
 from coneflat.flatten import InternalIdentityError
-from coneflat.funcfield import parse_ratfunc, set_term_bound, term_bound
+from coneflat.funcfield import RatFunc, parse_ratfunc, set_term_bound, term_bound
 
 VARS = ("x1", "x2", "x3")
 
@@ -188,25 +188,18 @@ def test_selftest_passes(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_reports_count_bracket_samples_dropped_at_poles(monkeypatch, capsys):
+def test_double_bracket_reports_draw_no_cone_point(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the double bracket drew cone points")
+
+    monkeypatch.setattr(cone, "sample_cone", refuse)
     code, report = run_json(capsys, "verify-identities", "--seed", "7", "--cases", "1")
     assert code == EXIT_OK
-    assert report["checks"][0]["details"]["pole_drops"] == 0
-
-    real = cone.sample_cone
-
-    def with_a_pole(cs, count, seed, field=None):
-        # the selftest's rescaled model has its pole at x1 = 1
-        points = real(cs, count - 1, seed, field)
-        x, y = points[0]
-        return points + [((1,) + tuple(x[1:]), y)]
-
-    monkeypatch.setattr(cone, "sample_cone", with_a_pole)
+    assert "pole_drops" not in report["checks"][0]["details"]
     code, report = run_json(capsys, "selftest", "--seed", "1")
     assert code == EXIT_OK
     (check,) = [c for c in report["checks"] if c["name"] == "double_bracket_exact"]
-    assert check["passed"]
-    assert check["details"] == {"pole_drops": 1, "residual": 0}
+    assert check["passed"] and check["details"] == {}
 
 
 def test_verify_identities_names_the_singular_point_projectively(capsys, tmp_path):
@@ -410,6 +403,45 @@ def test_identity_suite_failure_exits_four(monkeypatch, capsys):
     assert report["status"] == "error"
     (case,) = report["checks"]
     assert case["details"]["d_lemma"] is False
+
+
+# every key that rests on the A B = I proof, as a failed proof reports it
+_PAIRING_KEYS = {"structure_ab_is_identity", "theta_of_dtheta_is_identity",
+                 "theta_of_dlambda_is_zero", "lambda_of_dtheta_is_zero",
+                 "lambda_of_dlambda_is_identity", "dtheta_mu_is_zero",
+                 "dlambda_mu_is_identity", "bracket_dlambda_gamma_is_dtheta",
+                 "induced_structure_pullback", "geodesic_tangency", "double_bracket"}
+
+
+def test_failed_induced_pairing_is_reported_and_exits_four(monkeypatch, capsys):
+    monkeypatch.setattr(coframe.InducedCoframe, "block_form", False)
+    code, report = run_json(capsys, "verify-identities", "--seed", "7", "--cases", "1")
+    assert code == EXIT_INTERNAL
+    assert report["status"] == "error"
+    (case,) = report["checks"]
+    failed = {k for k, v in case["details"].items() if v is False}
+    # the base A B = I still holds: only the induced keys fail
+    assert failed == _PAIRING_KEYS - {"structure_ab_is_identity"}
+    assert case["details"]["dd_zero"] and case["details"]["d_lemma"]
+
+
+def test_wrong_dual_frame_is_reported_and_exits_four(monkeypatch, capsys):
+    real = cli.random_polynomial_coframe
+
+    def with_a_wrong_dual(chart, rng, unimodular=True):
+        cf = real(chart, rng, unimodular)
+        cf.dual = coframe.dual_frame(coframe.Coframe.identity(chart).scale(
+            RatFunc.const(3, 2)))
+        return cf
+
+    monkeypatch.setattr(cli, "random_polynomial_coframe", with_a_wrong_dual)
+    code, report = run_json(capsys, "verify-identities", "--seed", "7", "--cases", "2")
+    assert code == EXIT_INTERNAL
+    assert report["status"] == "error"
+    for case in report["checks"]:
+        failed = {k for k, v in case["details"].items() if v is False}
+        # the d-lemma reads the dual frame as well
+        assert failed == _PAIRING_KEYS | {"d_lemma"}, case
 
 
 def test_verify_identities_rejects_singular_variety(capsys, tmp_path):

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coneflat import cone, xi
-from coneflat.coframe import Chart, Coframe, VectorField, random_polynomial_coframe
+from coneflat.coframe import Chart, Coframe, VectorField, random_polynomial_coframe, \
+    tangent_dual_frame
 from coneflat.funcfield import MultiPoly, RatFunc, parse_poly, parse_ratfunc
+from test_coframe import double_bracket_fields, double_bracket_oracle
 
 VARS3 = ["x1", "x2", "x3"]
 VARS6 = ["x1", "x2", "x3", "y1", "y2", "y3"]
@@ -348,47 +350,42 @@ def test_geodesic_tangency_is_the_derivative_of_the_cone_equation():
 # double bracket
 # ---------------------------------------------------------------------------
 
+def assert_double_bracket_proved_and_computed(cf):
+    """The proved verdict and the brute-force double bracket agree."""
+    cs = cone.adapted_cone(cf, fermat())
+    report = cone.double_bracket_check(cs)
+    assert report.verdict and report.details == {}
+    assert double_bracket_oracle(cs, tangent_dual_frame(cs.induced))
+
+
 def test_double_bracket_exact_flat():
-    cs = cone.adapted_cone(flat_coframe(), fermat())
-    report = cone.double_bracket_check(cs, samples=8, seed=1)
-    assert report.verdict and report.identity_exact
-    assert report.max_residual == 0
+    assert_double_bracket_proved_and_computed(flat_coframe())
 
 
 def test_double_bracket_exact_rescaled():
-    cs = cone.adapted_cone(rescaled_coframe(), fermat())
-    report = cone.double_bracket_check(cs, samples=12, seed=3)
-    assert report.verdict and report.identity_exact
-    assert report.samples == 12
-    assert all(r == 0 for r in report.residuals)
+    assert_double_bracket_proved_and_computed(rescaled_coframe())
 
 
 def test_double_bracket_exact_twisted():
     # the identity holds for every adapted coframe, including ones that
     # later fail the characteristic test
-    cs = cone.adapted_cone(twisted_coframe(), fermat())
-    report = cone.double_bracket_check(cs, samples=8, seed=2)
-    assert report.verdict and report.identity_exact
+    assert_double_bracket_proved_and_computed(twisted_coframe())
 
 
 def test_double_bracket_exact_random_coframe():
     rng = random.Random(42)
-    cf = random_polynomial_coframe(Chart.standard(3), rng, unimodular=True)
-    cs = cone.adapted_cone(cf, fermat())
-    report = cone.double_bracket_check(cs, samples=10, seed=4)
-    assert report.identity_exact
-    assert report.verdict
-    assert report.max_residual == 0
+    assert_double_bracket_proved_and_computed(
+        random_polynomial_coframe(Chart.standard(3), rng, unimodular=True))
 
 
 def test_double_bracket_fields_are_the_projected_full_brackets():
     cf = mk_coframe([["1/(1 - x1)", "0", "0"], ["0", "1", "x1"], ["x2", "x3", "1"]])
-    cs = cone.adapted_cone(cf, fermat())
-    ic = cs.induced
-    fields = cone._double_bracket_fields(cs)
+    ic = cf.induced
+    frames = tangent_dual_frame(ic)
+    fields = double_bracket_fields(ic, frames)
     assert any(not c.is_zero() for field in fields for c in field)
     for a in range(3):
-        full = ic.frames[0].vector(a).bracket(ic.gamma)
+        full = frames[0].vector(a).bracket(ic.gamma)
         assert fields[a] == list(full.components[:3])
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from coneflat._modp import (
     is_probable_prime,
     kernel_mod,
-    kernel_of_row_mod,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -224,6 +223,19 @@ def test_rref_of_reduced_rows_and_batch_equals_rref_of_all_rows(p, ncols, a, b):
     assert rref_mod(reduced + b, p) == rref_mod(a + b, p)
 
 
+def kernel_of_row(row, p):
+    """The kernel of a single row over GF(p), written down: with pivot c
+    the first column where row[c] != 0 mod p, free column f has basis
+    vector e_f with entry -row[f] / row[c] at c.  A zero row has the unit
+    vectors as its kernel."""
+    pivot = next((c for c, v in enumerate(row) if v % p), None)
+    if pivot is None:
+        return [[int(i == j) for j in range(len(row))] for i in range(len(row))]
+    scale = -pow(row[pivot], -1, p)
+    return [[1 if j == free else row[free] * scale % p if j == pivot else 0
+             for j in range(len(row))] for free in range(len(row)) if free != pivot]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 101) + DEFAULT_PRIMES), st.integers(0, 6), st.data())
 def test_kernel_of_row_equals_kernel_mod(p, zeros, data):
@@ -232,4 +244,4 @@ def test_kernel_of_row_equals_kernel_mod(p, zeros, data):
     row = [0] * zeros + data.draw(st.lists(entry, max_size=6))
     if not row:
         row = [0]
-    assert kernel_of_row_mod(row, p) == kernel_mod([row], len(row), p)
+    assert kernel_of_row(row, p) == kernel_mod([row], len(row), p)

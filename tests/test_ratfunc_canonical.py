@@ -16,6 +16,8 @@ from coneflat.coframe import (
     check_dual_relations,
     check_geodesic_identities,
     random_polynomial_coframe,
+    structure_function,
+    tangent_dual_frame,
 )
 from coneflat import _modp
 from coneflat.funcfield import (
@@ -31,7 +33,8 @@ from coneflat.funcfield import (
     term_bound,
     DEFAULT_TERM_BOUND,
 )
-from test_coframe import bracket_identity_oracle
+from test_coframe import bracket_identity_oracle, double_bracket_oracle, \
+    reconstruction_oracle
 
 N = 3
 VARS = ("x1", "x2", "x3")
@@ -194,34 +197,50 @@ def test_gcd_against_sympy(a, b):
 
 # -- the n = 4 coframe that overflowed the term bound ---------------------------------
 
-def test_n4_coframe_identities_under_the_default_term_bound():
-    assert term_bound() == DEFAULT_TERM_BOUND
+def n4_cone_structure(unimodular: bool) -> cone.ConeStructure:
+    """The "n4seed" coframe on the n = 4 Fermat quartic; the double
+    bracket does not read the hypersurface, so its smoothness is not
+    computed here."""
     cf = random_polynomial_coframe(Chart.standard(4), random.Random("n4seed"),
-                                   unimodular=False)
-    ic = cf.induced
-    assert all(check_dual_relations(ic).values())
-    assert all(check_geodesic_identities(ic).values())
-    assert bracket_identity_oracle(ic)      # builds ic.frames, -B E B included
+                                   unimodular=unimodular)
+    z = cone.Hypersurface(parse_poly("x1^4 + x2^4 + x3^4 + x4^4", ("x1", "x2", "x3", "x4")))
+    return cone.ConeStructure(cf, z)
+
+
+def test_n4_coframe_identities_under_the_default_term_bound():
+    # both "n4seed" coframes: every proof, and the brute-force oracles
+    # agree with it: the reconstruction through A, the tangent frames
+    # with -B E B, the n brackets and the double brackets on them
+    assert term_bound() == DEFAULT_TERM_BOUND
+    for unimodular in (True, False):
+        cs = n4_cone_structure(unimodular)
+        ic = cs.induced
+        assert all(check_dual_relations(ic).values())
+        assert all(check_geodesic_identities(ic).values())
+        assert cone.double_bracket_check(cs).verdict
+        assert reconstruction_oracle(cs.coframe, structure_function(cs.coframe))
+        assert double_bracket_oracle(cs, tangent_dual_frame(ic))
 
 
 def test_n4_coframe_identities_under_a_tenth_of_the_default_term_bound():
     # the pairing proof at n x n and the closed-form gamma keep every
     # expression of this coframe under 10,000 terms, and so do the
-    # tangent frames and the brute-force brackets on them
-    cf = random_polynomial_coframe(Chart.standard(4), random.Random("n4seed"),
-                                   unimodular=False)
+    # tangent frames and the brute-force brackets on them (the default
+    # bound test adds the double brackets)
+    cs = n4_cone_structure(unimodular=False)
     saved = term_bound()
     set_term_bound(10_000)
     try:
-        ic = cf.induced
+        ic = cs.induced
         assert all(check_dual_relations(ic).values())
         assert all(check_geodesic_identities(ic).values())
-        assert bracket_identity_oracle(ic)
+        assert cone.double_bracket_check(cs).verdict
+        assert bracket_identity_oracle(ic, tangent_dual_frame(ic))
     finally:
         set_term_bound(saved)
 
 
-# -- the induced determinant and dropped bracket samples --------------------------
+# -- the induced determinant, and a double bracket at a pole --------------------------
 
 def test_induced_coframe_determinant_is_the_square_of_the_base():
     cf = random_polynomial_coframe(Chart.standard(3), random.Random("det"), unimodular=False)
@@ -229,21 +248,18 @@ def test_induced_coframe_determinant_is_the_square_of_the_base():
     assert _modp.determinant(ic.matrix) == ic.lift(cf.det) ** 2
 
 
-def test_double_bracket_counts_samples_dropped_at_poles(monkeypatch):
+def test_double_bracket_on_a_coframe_with_a_pole_draws_no_point(monkeypatch):
+    # A has its pole at x1 = 1; the verdict is proved, so no cone point
+    # is drawn and none can meet the pole
     a = parse_ratfunc("1/(1 - x1)", VARS)
     zero = RatFunc.const(N, 0)
     from coneflat.coframe import Coframe
     cf = Coframe(Chart.standard(3), [[a, zero, zero], [zero, a, zero], [zero, zero, a]])
     z = cone.Hypersurface(parse_poly("x1^4 + x2^4 + x3^4", VARS))
     cs = cone.adapted_cone(cf, z)
-    real = cone.sample_cone
 
-    def with_a_pole(cs_, count, seed, field=None):
-        points = real(cs_, count - 1, seed, field)
-        x, y = points[0]
-        return points + [((1,) + tuple(x[1:]), y)]     # x1 = 1: the pole of A
+    def refuse(*args, **kwargs):
+        raise AssertionError("the double bracket drew cone points")
 
-    monkeypatch.setattr(cone, "sample_cone", with_a_pole)
-    report = cone.double_bracket_check(cs, samples=4, seed=1)
-    assert report.details["pole_drops"] == 1
-    assert report.samples == 3 and report.verdict
+    monkeypatch.setattr(cone, "sample_cone", refuse)
+    assert cone.double_bracket_check(cs, samples=4, seed=1).verdict

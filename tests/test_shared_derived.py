@@ -1,19 +1,22 @@
 """Each derived object of a coframe is built once and shared: the dual
-frame, the structure function, the induced coframe and, on it, the
-tangent frames, the geodesic flow and the verdict of
-[(D_lambda)_a, gamma] = (D_theta)_a."""
+frame, the A B = I proof, the structure function, the induced coframe
+and, on it, the geodesic flow and the verdict of
+[(D_lambda)_a, gamma] = (D_theta)_a; no check builds the tangent
+frames."""
 from __future__ import annotations
 
+import argparse
 import gc
 import weakref
 from collections import Counter
 
 import pytest
 
-from coneflat import cli, coframe
+from coneflat import cli, coframe, flatten
 from coneflat.coframe import (
     Chart,
     Coframe,
+    SingularCoframeError,
     check_dual_relations,
     check_geodesic_identities,
     dual_frame,
@@ -22,7 +25,8 @@ from coneflat.coframe import (
     verify_induced_structure,
 )
 from coneflat.cone import adapted_cone, double_bracket_check, geodesic_tangency_check
-from coneflat.funcfield import FuncFieldError, MultiPoly, RatFunc, parse_ratfunc
+from coneflat.funcfield import MultiPoly, RatFunc, parse_ratfunc
+from coneflat.xi import XiConfig, xi_Z
 
 CHART = Chart.standard(3)
 
@@ -33,19 +37,22 @@ def heisenberg_coframe() -> Coframe:
                            for row in rows])
 
 
-def test_each_identity_case_builds_dual_and_tangent_frames_once(monkeypatch, capsys):
+def test_each_identity_case_inverts_and_multiplies_once_and_builds_no_tangent_frame(
+        monkeypatch, capsys):
     counts = Counter()
-    for name in ("tangent_dual_frame", "mat_inverse"):
+    for name in ("tangent_dual_frame", "mat_inverse", "mat_mul"):
         original = getattr(coframe, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            # a product on the base chart is A B; gamma's are on the tangent chart
+            if _name != "mat_mul" or args[0][0][0].nvars == CHART.n:
+                counts[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(coframe, name, counted)
-    assert cli.main(["verify-identities", "--seed", "7", "--cases", "1"]) == cli.EXIT_OK
+    assert cli.main(["verify-identities", "--seed", "7", "--cases", "2"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert counts == {"tangent_dual_frame": 1, "mat_inverse": 1}
+    assert counts == {"mat_inverse": 2, "mat_mul": 2}
 
 
 def test_coframe_holds_its_induced_coframe_weakly():
@@ -78,19 +85,21 @@ def test_derived_objects_are_shared_while_held():
     sf = structure_function(cf)
     assert structure_function(cf) is sf
     assert cf.structure is sf
-    assert ic.frames is ic.frames
+    assert vars(cf)["pairing"] and ic.pairing is cf.pairing
     assert ic.gamma is ic.gamma
 
 
 def test_inconsistent_coframe_raises_on_every_call():
     cf = heisenberg_coframe()
-    # a wrong dual frame makes the reconstruction through A fail
+    # a wrong dual frame fails the A B = I proof that everything rests on
     cf.dual = dual_frame(Coframe.identity(CHART).scale(RatFunc.const(3, 2)))
     for _ in range(2):
-        with pytest.raises(FuncFieldError):
+        with pytest.raises(SingularCoframeError):
             structure_function(cf)
-        with pytest.raises(FuncFieldError):
+        with pytest.raises(SingularCoframeError):
             cf.structure
+        with pytest.raises(SingularCoframeError):
+            cf.induced.pairing
 
 
 def test_explicit_dual_is_not_stored():
@@ -106,3 +115,14 @@ def test_constant_polynomials_are_shared():
         assert MultiPoly.one(n).nvars == n
     assert MultiPoly.one(3) is not MultiPoly.one(4)
     assert RatFunc.const(3, 1).num is MultiPoly.one(3)
+
+
+def test_certify_builds_no_induced_coframe():
+    z = cli.default_variety()
+    space = xi_Z(z, XiConfig(samples=40, seed=9))
+    for name in ("flat", "rescaled", "twisted"):
+        bundle = cli.build_model(name, z, argparse.Namespace(scale="1/(1 - x1)", twist="x1"))
+        cs = adapted_cone(coframe.coframe_from_json(bundle["coframe"]), z)
+        flatten.certify(cs, space, flatten.CertifyConfig(seed=1, validation_samples=10))
+        assert "induced" not in cs.__dict__, name
+        assert cs.coframe._induced is None, name

@@ -433,7 +433,7 @@ def sampled_constraint_rref(f, p: int, seed):
     n = f.nvars
     rows = []
     for u, grad in xi.sample_variety_points_modp(f, p, 2 * xi.coordinate_dim(n), seed):
-        for v in _modp.kernel_of_row_mod(grad, p):
+        for v in _modp.kernel_mod([grad], len(grad), p):
             rows.append([grad[k] * (u[i] * v[j] - u[j] * v[i]) % p
                          for (k, i, j) in xi.coordinate_triples(n)])
     return _modp.rref_mod(rows, p)[0]
@@ -687,7 +687,7 @@ def sampled_probe_ranks(f, p: int, seed) -> tuple[int, int]:
     points = xi.sample_variety_points_modp(f, p, 2 * n, f"{seed}:span")
     wedges = []
     for u, grad in xi.sample_variety_points_modp(f, p, 2 * len(pairs), f"{seed}:w"):
-        for v in _modp.kernel_of_row_mod(grad, p):
+        for v in _modp.kernel_mod([grad], len(grad), p):
             wedges.append([(u[i] * v[j] - u[j] * v[i]) % p for (i, j) in pairs])
     return _modp.rank([list(u) for u, _ in points], p), _modp.rank(wedges, p)
 
