@@ -227,9 +227,11 @@ def build_model(name: str, z: Hypersurface, args) -> dict:
 
 def _xi_config(args) -> xi.XiConfig:
     primes = tuple(args.prime) if args.prime else xi.DEFAULT_PRIMES
+    # "float" is an alias of "modp": the perfbench xi workload still passes it
+    backend = "modp" if args.backend == "float" else args.backend
     try:
-        return xi.XiConfig(backend=args.backend, primes=primes,
-                           samples=args.samples, seed=args.seed, tol=args.tol)
+        return xi.XiConfig(backend=backend, primes=primes,
+                           samples=args.samples, seed=args.seed)
     except (BadPrimeError, xi.XiError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -264,8 +266,7 @@ def cmd_xi(args) -> RunReport:
     space = xi.xi_Z(z, cfgx)
     meta = dict(space.meta)
     # xi_Z passes only when its dimension is stable (the same over every
-    # prime, or the float kernel's equal to the exact one) and it contains
-    # Xi_V, as it must
+    # prime) and it contains Xi_V, as it must
     report.add("xi_Z", meta["stable"] and meta["contains_xi_V"],
                dim=space.dim, dim_xi_V=z.n,
                equal_dims=space.dim == z.n, **{
@@ -293,8 +294,7 @@ def cmd_certify(args) -> RunReport:
     space = xi.xi_Z(z, _xi_config(args))
     report.add("xi_Z_dims", True, dim=space.dim, equal_dims=space.dim == cs.n)
     cert = flatten.certify(cs, space, flatten.CertifyConfig(
-        seed=args.seed, tol_membership=args.tol,
-        validation_samples=args.samples))
+        seed=args.seed, validation_samples=args.samples))
     payload = cert.to_json()
     report.add("certify", cert.status in ("flat", "conformally_flat"),
                **payload)
@@ -429,7 +429,7 @@ def cmd_selftest(args) -> RunReport:
 
 def _echo(args) -> dict:
     keep = ("variety", "coframe", "model", "backend", "prime", "samples",
-            "seed", "tol", "format", "scale", "twist", "name", "out")
+            "seed", "format", "scale", "twist", "name", "out")
     return {k: getattr(args, k) for k in keep
             if getattr(args, k, None) is not None}
 
@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=50)
         p.add_argument("--seed", required=need_seed,
                        help="seed for all sampling (mandatory)")
-        p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

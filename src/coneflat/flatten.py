@@ -332,8 +332,9 @@ class CertifyConfig:
     and quad_tol is the tolerance of its quadratures.  Each sample
     evaluates h's quadrature on two paths, so validation_samples sets
     most of a quadrature certificate's cost.  No stage reads
-    tol_membership: the characteristic check is exact.  It stays for
-    callers that pass it, and in echo."""
+    tol_membership: the characteristic check is exact.  It stays, at its
+    default, while the perfbench certify workload passes it, and in
+    echo."""
 
     membership_samples: int = 25
     validation_samples: int = 25

@@ -121,6 +121,26 @@ def test_xi_command_samples_no_cone_point_mod_p(monkeypatch, capsys, backend):
         assert by_name[name]["details"]["method"] == "ideal_membership"
 
 
+def test_float_backend_is_a_modp_alias_and_numpy_is_never_imported():
+    # a fresh interpreter, since another test may have imported numpy here
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from coneflat.cli import main\n"
+        "def xi_details(backend):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        assert main(['xi', '--backend', backend, '--seed', '1']) == 0\n"
+        "    checks = json.loads(buf.getvalue())['checks']\n"
+        "    return next(c['details'] for c in checks if c['name'] == 'xi_Z')\n"
+        "assert xi_details('float') == xi_details('modp')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['certify', '--model', 'rescaled', '--seed', '1']) == 0\n"
+        "assert 'numpy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_xi_command_rejects_an_unstable_xi_Z(monkeypatch, capsys):
     original = cli.xi.xi_Z
 

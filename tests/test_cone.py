@@ -424,15 +424,6 @@ def test_characteristic_check_twisted_fails_with_witness(fermat_xiz):
     assert len(report.failures) == report.samples
 
 
-def test_characteristic_check_float_backend():
-    z = fermat()
-    xiz_float = xi.xi_Z(z, xi.XiConfig(backend="float", samples=40, seed=11))
-    cs = cone.adapted_cone(rescaled_coframe(), z)
-    assert cone.characteristic_check(cs, xiz_float, samples=6, seed=3).verdict
-    cs2 = cone.adapted_cone(twisted_coframe(), z)
-    assert not cone.characteristic_check(cs2, xiz_float, samples=6, seed=3).verdict
-
-
 def test_characteristic_check_passes_without_drawing_a_point(fermat_xiz, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("characteristic_check drew a chart point")

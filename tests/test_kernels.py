@@ -223,23 +223,6 @@ def test_sample_variety_points_modp_pinned():
         ((1623, 9314, 4894), (3308, 996, 6949))]
 
 
-def test_sample_variety_points_complex_pinned():
-    expected = [
-        ([-0.07217099704763717 - 0.6371860223863206j, -0.3384238219910721 + 0.4776453515792885j,
-          -0.3504101729310392 + 0.3511727005203302j],
-         [0.350118662751412 + 0.9949788927243053j, 0.7714771206626629 + 0.22057083045324455j,
-          0.34645685584243074 + 0.3442048754823449j]),
-        ([0.20408106840491214 - 0.3227717278031382j, 0.44551203091995983 + 0.47046055331270764j,
-          0.659052152134415 + 0.0023426691947096533j],
-         [-0.22113872110129051 - 0.026810270763347313j, -0.8295762393300262 + 0.7040155704849641j,
-          1.1449931183609976 + 0.01221040161877451j])]
-    got = xi.sample_variety_points_complex(FERMAT4, 2, seed=11)
-    assert len(got) == len(expected)
-    for (u, grad), (u_want, grad_want) in zip(got, expected):
-        assert list(u) == pytest.approx(u_want, rel=1e-9, abs=1e-12)
-        assert list(grad) == pytest.approx(grad_want, rel=1e-9, abs=1e-12)
-
-
 def test_sample_cone_pinned():
     s = parse_ratfunc("1/(1 - x1)", VARS3)
     zero = parse_ratfunc("0", VARS3)
