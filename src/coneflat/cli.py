@@ -230,8 +230,7 @@ def _xi_config(args) -> xi.XiConfig:
     # "float" is an alias of "modp": the perfbench xi workload still passes it
     backend = "modp" if args.backend == "float" else args.backend
     try:
-        return xi.XiConfig(backend=backend, primes=primes,
-                           samples=args.samples, seed=args.seed)
+        return xi.XiConfig(backend=backend, primes=primes, seed=args.seed)
     except (BadPrimeError, xi.XiError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -395,7 +394,7 @@ def cmd_selftest(args) -> RunReport:
         report.add(f"xi_V_dim_n{n}", xi.xi_V(n).dim == n, dim=xi.xi_V(n).dim)
 
     z = default_variety()
-    space = xi.xi_Z(z, xi.XiConfig(samples=40, seed=9))
+    space = xi.xi_Z(z)
     report.add("fermat_xi_Z", space.dim == 3 and space.meta.get("stable"),
                dim=space.dim)
 
@@ -454,22 +453,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, need_seed: bool):
         p.add_argument("--variety", help="variety JSON file")
-        p.add_argument("--backend", choices=("modp", "float", "rational"),
-                       default="modp")
-        p.add_argument("--prime", action="append", type=int,
-                       help="sampling prime (repeat for two)")
-        p.add_argument("--samples", type=int, default=50)
         p.add_argument("--seed", required=need_seed,
                        help="seed for all sampling (mandatory)")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def xi_flags(p):
+        p.add_argument("--backend", choices=("modp", "float", "rational"),
+                       default="modp")
+        p.add_argument("--prime", action="append", type=int,
+                       help="a prime of the modp backend (repeat for more)")
+
     p = sub.add_parser("xi", help="span, tangent-line, and xi_Z dimensions")
     common(p, need_seed=True)
+    xi_flags(p)
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("certify", help="run the flattening pipeline")
     common(p, need_seed=True)
+    xi_flags(p)
+    p.add_argument("--samples", type=int, default=50,
+                   help="validation samples of the conformal factor")
     p.add_argument("--coframe", help="coframe JSON file")
     p.add_argument("--model", choices=sorted(MODELS),
                    help="use a built-in model instead of --coframe")
@@ -480,10 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-identities",
                        help="exact identity suite on random coframes")
     common(p, need_seed=True)
-    # samples counts random coframe cases here; --cases is the natural name
-    p.add_argument("--cases", dest="samples", type=int,
-                   default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify_identities, samples=25)
+    p.add_argument("--cases", "--samples", dest="samples", type=int, default=25,
+                   help="number of random coframe cases")
+    p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("model", help="emit problem files for a model")
     p.add_argument("name", choices=sorted(MODELS))

@@ -28,6 +28,14 @@ cycle would keep a discarded coframe's expressions alive until the
 cyclic garbage collector runs.  So the induced coframe is shared while
 some caller, such as a ConeStructure, holds it.
 
+Every antisymmetric (k, i < j) tensor of the package, d omega and c
+here as well as the constant tensors of coneflat.xi, is one container,
+AntisymmetricComponents, with RatFunc or Fraction values.  It holds the
+coordinate order (coordinate_triples), the trace covector and the
+contraction residual c - iota(xi).  StructureFunction.evaluate_at
+returns the container with Fraction values, so a witness's distance to
+Xi_V comes from the same residual code as the symbolic verdict.
+
 Sign convention: with c defined by d omega^k = sum_{a<b} c^k_{ab}
 omega^a wedge omega^b, the dual-frame fields satisfy
 [D_a, D_b] = - sum_k c^k_{ab} D_k.  The minus sign is forced by the
@@ -353,28 +361,97 @@ class VectorField:
         return all(c.is_zero() for c in self.components)
 
 
-class AntisymmetricComponents:
-    """Components t[k, i, j] of a vector-valued antisymmetric 2-tensor of
-    rational functions, stored for i < j only; zeros are dropped."""
+def pair_list(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    def __init__(self, chart: Chart, components: dict[tuple[int, int, int], RatFunc]):
-        self.chart = chart
-        self.components = {key: val for key, val in components.items()
-                           if not val.is_zero()}
+
+def coordinate_triples(n: int) -> list[tuple[int, int, int]]:
+    """Flattening order of Hom(L^2 V, V): k outer, (i < j) inner."""
+    pairs = pair_list(n)
+    return [(k, i, j) for k in range(n) for (i, j) in pairs]
+
+
+def coordinate_dim(n: int) -> int:
+    return n * (n * (n - 1) // 2)
+
+
+class AntisymmetricComponents:
+    """The one container of antisymmetric tensors t^k_{ij} in
+    Hom(L^2 V, V), dim V = n, stored for i < j only, zeros dropped.
+
+    The values are all RatFunc (a tensor field on a chart, zero
+    RatFunc.const(n, 0)) or all Fraction (a constant tensor, or a field's
+    value at a point, zero Fraction(0)); zero is that kind's zero.  A
+    tensor carries no field: GF(p) enters only through an
+    xi.TensorSubspace, against which xi.membership reduces the rational
+    coordinates.
+    """
+
+    def __init__(self, n: int, components: dict[tuple[int, int, int], object],
+                 zero=Fraction(0)):
+        self.n = n
+        self.zero = zero
+        self.components = {key: val for key, val in components.items() if val}
         for (k, i, j) in self.components:
             if not i < j:
                 raise FuncFieldError(
                     f"{type(self).__name__} components must be stored with i < j")
 
-    def get(self, k: int, i: int, j: int) -> RatFunc:
-        if i == j:
-            return RatFunc.const(self.chart.n, 0)
-        if i < j:
-            return self.components.get((k, i, j), RatFunc.const(self.chart.n, 0))
-        return -self.components.get((k, j, i), RatFunc.const(self.chart.n, 0))
+    @classmethod
+    def from_coordinates(cls, n: int, vec: Sequence, zero=Fraction(0)):
+        """The tensor with coordinates vec, in coordinate_triples order."""
+        triples = coordinate_triples(n)
+        if len(vec) != len(triples):
+            raise FuncFieldError("coordinate vector has wrong length")
+        return cls(n, dict(zip(triples, vec)), zero)
+
+    def coordinates(self) -> list:
+        """The components in coordinate_triples order, zeros included."""
+        return [self.components.get(t, self.zero) for t in coordinate_triples(self.n)]
+
+    def get(self, k: int, i: int, j: int):
+        if i <= j:
+            return self.components.get((k, i, j), self.zero)
+        return -self.components.get((k, j, i), self.zero)
 
     def is_zero(self) -> bool:
         return not self.components
+
+    def norm_sq(self):
+        """The sum of the squared components: for a constant tensor, its
+        squared Euclidean norm in coordinate_triples coordinates."""
+        return sum((v * v for v in self.components.values()), self.zero)
+
+    @cached_property
+    def _xi_and_residual(self) -> tuple[tuple, AntisymmetricComponents]:
+        # c^k_{kj} is stored at (k, k, j) when k < j and at -(k, j, k) when k > j
+        n, zero, comps = self.n, self.zero, self.components
+        scale = Fraction(1, 1 - n)
+        xi = tuple((sum((comps.get((k, k, j), zero) for k in range(j)), zero)
+                    - sum((comps.get((k, j, k), zero) for k in range(j + 1, n)), zero)) * scale
+                   for j in range(n))
+        residual = dict(comps)
+        # iota(xi)^k_{ij} = xi_i delta^k_j - xi_j delta^k_i
+        for i, j in pair_list(n):
+            residual[(j, i, j)] = residual.get((j, i, j), zero) - xi[i]
+            residual[(i, i, j)] = residual.get((i, i, j), zero) + xi[j]
+        return xi, AntisymmetricComponents(n, residual, zero)
+
+    def trace_covector(self) -> tuple:
+        """The covector xi with xi_j = (1/(1-n)) sum_k c^k_{kj}, built once.
+
+        When c lies in the image of the contraction map this inverts it;
+        contraction_residual says whether c = iota(xi).
+        """
+        return self._xi_and_residual[0]
+
+    def contraction_residual(self) -> AntisymmetricComponents:
+        """c - iota(xi), xi = trace_covector(), built once.  The iota(e_a)
+        are orthogonal of squared norm n - 1 with <c, iota(e_a)> =
+        (n - 1) xi_a, so iota(xi) projects c onto Xi_V: the result is zero
+        exactly when c lies in Xi_V, and for a constant c its norm_sq is
+        the squared distance from c to Xi_V."""
+        return self._xi_and_residual[1]
 
 
 class VValuedForm2(AntisymmetricComponents):
@@ -382,7 +459,7 @@ class VValuedForm2(AntisymmetricComponents):
 
     def d_components(self) -> dict[tuple[int, int, int, int], RatFunc]:
         """Components of the exterior derivative, a vector-valued 3-form."""
-        n = self.chart.n
+        n = self.n
         out = {}
         for k in range(n):
             for i in range(n):
@@ -399,51 +476,10 @@ class VValuedForm2(AntisymmetricComponents):
 class StructureFunction(AntisymmetricComponents):
     """The tensor c with d omega^k = sum_{a<b} c^k_{ab} omega^a ^ omega^b."""
 
-    def evaluate_at(self, point) -> dict[tuple[int, int, int], Fraction]:
-        return {key: val.evaluate(point) for key, val in self.components.items()}
-
-    @cached_property
-    def _xi_and_residual(self) -> tuple[tuple[RatFunc, ...], AntisymmetricComponents]:
-        n = self.chart.n
-        xi, residual = _trace_and_residual(n, self.components, RatFunc.const(n, 0))
-        return xi, AntisymmetricComponents(self.chart, residual)
-
-    def trace_covector(self) -> tuple[RatFunc, ...]:
-        """The covector xi with xi_j = (1/(1-n)) sum_k c^k_{kj}, built once.
-
-        When c lies in the image of the contraction map this inverts it
-        symbolically; contraction_residual says whether c = iota(xi).
-        """
-        return self._xi_and_residual[0]
-
-    def contraction_residual(self) -> AntisymmetricComponents:
-        """c - iota(xi), xi = trace_covector(), built once.  The iota(e_a)
-        are orthogonal of squared norm n - 1 with <c, iota(e_a)> =
-        (n - 1) xi_a, so iota(xi) projects c onto Xi_V: the result is zero
-        exactly when c lies in Xi_V (its norm: residual_norm_sq)."""
-        return self._xi_and_residual[1]
-
-    def residual_norm_sq(self, values: dict[tuple[int, int, int], Fraction]) -> Fraction:
-        """c(x)'s squared distance to Xi_V from values = evaluate_at(x):
-        c(x) - iota(trace c(x)), over Q, with no second evaluation."""
-        _, residual = _trace_and_residual(self.chart.n, values, Fraction(0))
-        return sum((v * v for v in residual.values()), Fraction(0))
-
-
-def _trace_and_residual(n: int, comps: dict, zero):
-    """(xi, c - iota(xi)) for c's (k, i < j) components, functions or
-    numbers: iota(xi)^k_{ij} = xi_i delta^k_j - xi_j delta^k_i."""
-    scale = Fraction(1, 1 - n)
-    # c^k_{kj} is stored at (k, k, j) when k < j and at -(k, j, k) when k > j
-    xi = tuple((sum((comps.get((k, k, j), zero) for k in range(j)), zero)
-                - sum((comps.get((k, j, k), zero) for k in range(j + 1, n)), zero)) * scale
-               for j in range(n))
-    residual = dict(comps)
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual[(j, i, j)] = residual.get((j, i, j), zero) - xi[i]
-            residual[(i, i, j)] = residual.get((i, i, j), zero) + xi[j]
-    return xi, residual
+    def evaluate_at(self, point) -> AntisymmetricComponents:
+        """c(x), the constant tensor of the values at a pole-free point."""
+        return AntisymmetricComponents(
+            self.n, {key: val.evaluate(point) for key, val in self.components.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +502,7 @@ def exterior_derivative(cf: Coframe) -> VValuedForm2:
                 val = cf.a[k][j].diff(i) - cf.a[k][i].diff(j)
                 if not val.is_zero():
                     comps[(k, i, j)] = val
-    return VValuedForm2(cf.chart, comps)
+    return VValuedForm2(n, comps, RatFunc.const(n, 0))
 
 
 def structure_function(cf: Coframe, verify: bool = True) -> StructureFunction:
@@ -502,7 +538,7 @@ def structure_function(cf: Coframe, verify: bool = True) -> StructureFunction:
                     comps[key] = comps[key] + term
                 else:
                     comps[key] = term
-    sf = StructureFunction(cf.chart, comps)
+    sf = StructureFunction(n, comps, RatFunc.const(n, 0))
     if verify:
         cf._structure = sf
     return sf

@@ -11,8 +11,12 @@ No check draws a point of the cones.  The cone equation f(mu),
 mu = A(x) y, is never expanded: flow tangency is proved from the n
 functions gamma(mu^k), each linear in y, and the double bracket is the
 definition of the structure function once A B = I holds and the lambda
-rows are d mu (double_bracket_check).  sample_cone, the exact GF(p)
-cone sampler, is kept for callers outside the checks.
+rows are d mu (double_bracket_check).  characteristic_check decides over
+Q on the structure function's coordinates (coordinate_triples order);
+of the Xi_Z subspace it reads only the dimension n.  sample_cone, the
+exact GF(p) cone sampler, has no caller in the package; it stays only
+because the perfbench tracer looks it up, until the benchmark stops
+tracing it (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -347,7 +351,6 @@ class BracketReport:
 @dataclass
 class CharacteristicReport:
     verdict: bool
-    backend: object
     samples: int = 0
     witness: tuple | None = None
     witness_residual: float | None = None
@@ -418,8 +421,9 @@ def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
     Each row of cs.z.xi_constraints, applied to the structure function's
     components in coordinate_triples order, is a linear combination of
     rational functions.  The tensor lies in Xi_Z at every point exactly
-    when all of them are zero; then no point is drawn.  xiZ enters only
-    through its dimension check, whatever its field.
+    when all of them are zero; then no point is drawn.  Of xiZ only its
+    dimension n is read, so the check decides over Q whatever the field
+    of xiZ.
 
     When a combination is nonzero the check fails, and the samples chart
     points seeded f"{seed}:chi" (report.samples, drawn only then) are
@@ -427,23 +431,21 @@ def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
     Xi_Z, with its residual, and the witness is the first of them (None
     if the nonzero combinations vanish at every scanned point).  The
     residual is the exact Euclidean distance from the evaluated tensor to
-    the contraction image Xi_V (converted to float), taken from the values
-    already evaluated there (residual_norm_sq).  When dim Xi_Z =
-    dim Xi_V and Xi_V is contained in Xi_Z, that distance equals the
-    distance to Xi_Z itself; otherwise it is reported under the same
-    label but is only an upper bound certificate of nonmembership in
-    Xi_V.
+    the contraction image Xi_V (converted to float), the norm of its
+    contraction_residual.  When dim Xi_Z = dim Xi_V and Xi_V is
+    contained in Xi_Z, that distance equals the distance to Xi_Z itself;
+    otherwise it is reported under the same label but is only an upper
+    bound certificate of nonmembership in Xi_V.
     """
     if xiZ.n != cs.n:
         raise ConeError("Xi_Z subspace has wrong dimension")
     struct = cs.structure()
     rows = cs.z.xi_constraints
-    comps = [struct.components.get(t) for t in xi.coordinate_triples(cs.n)]
-    zero = RatFunc.const(cs.n, 0)
-    exact = all(sum((c * comp for c, comp in zip(row, comps) if c and comp is not None),
-                    zero).is_zero() for row in rows)
+    comps = struct.coordinates()
+    exact = all(sum((c * comp for c, comp in zip(row, comps) if c and comp),
+                    struct.zero).is_zero() for row in rows)
     report = CharacteristicReport(
-        verdict=exact, backend=xiZ.field, samples=samples,
+        verdict=exact, samples=samples,
         details={"residual_metric": "euclidean distance to the contraction image"})
     if exact:
         return report
@@ -451,8 +453,9 @@ def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
                        avoid=cs.coframe.pole_polynomials())
     for x in xs:
         values = struct.evaluate_at(x)
-        if not xi._annihilates(rows, [xi.HomTensor(cs.n, values).coordinates()], None):
-            report.failures.append((x, math.sqrt(float(struct.residual_norm_sq(values)))))
+        if not xi._annihilates(rows, [values.coordinates()], None):
+            residual = values.contraction_residual().norm_sq()
+            report.failures.append((x, math.sqrt(float(residual))))
     if report.failures:
         report.witness, report.witness_residual = report.failures[0]
     return report

@@ -101,7 +101,7 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
     points = sample_points(cf.chart, witness_samples, f"{seed}:cw",
                            avoid=cf.pole_polynomials())
     for x in points:
-        residual = struct.residual_norm_sq(struct.evaluate_at(x))
+        residual = struct.evaluate_at(x).contraction_residual().norm_sq()
         if residual:
             return ClosednessVerdict(
                 "not_conformally_closed", witness=x,

@@ -356,11 +356,8 @@ class MultiPoly:
         return MultiPoly._make(self.nvars, out, self.den)
 
     def evaluate(self, point: Sequence):
-        """Evaluate at a point of Fractions (exact) or floats/complex.
-
-        The result type follows the input type: Fraction points give an
-        exact Fraction, float or complex points give a float/complex.
-        """
+        """Evaluate at a point of Fractions or ints (an exact Fraction) or
+        of floats (a float, each coefficient correctly rounded)."""
         if len(point) != self.nvars:
             raise FuncFieldError("point has wrong dimension")
         den = self.den
@@ -381,10 +378,9 @@ class MultiPoly:
             total = sum(t * scale ** (top - d) for d, t in by_degree.items())
             return Fraction(total, den * scale ** top)
         # int true division is correctly rounded, as float(Fraction) is
-        scalar = complex if any(isinstance(v, complex) for v in point) else float
         total = 0.0
         for exp, coeff in self.coeffs.items():
-            term = scalar(coeff / den)
+            term = coeff / den
             for v, k in zip(point, exp):
                 if k:
                     term *= v ** k

@@ -1,4 +1,4 @@
-"""Constant tensors in Hom(L^2 V, V), the contraction map, and Xi spaces.
+"""The contraction map and the Xi subspaces of Hom(L^2 V, V).
 
 Xi_V is the n-dimensional image of the contraction iota(eta)(u, v) =
 eta(u) v - eta(v) u.  Xi_Z is cut out by the linear conditions
@@ -22,8 +22,12 @@ and the tangent lines span L^2 V unless an antisymmetric form
 omega(u, v) is one (bidegree (1, 1), tangent_lines_nondegenerate).
 Neither probe samples a point.
 
-Tensor coordinates are flattened in the fixed order (k, i < j); every
-matrix in this module uses that layout.
+A tensor is a coframe.AntisymmetricComponents with rational values
+(iota builds them), flattened in the fixed order coordinate_triples,
+(k, i < j), which every matrix in this module uses.  Tensors carry no
+field: a TensorSubspace holds its basis as coordinate rows over its own
+field, a prime p or "rational", and membership reduces a rational
+tensor mod p itself.
 """
 
 from __future__ import annotations
@@ -34,165 +38,44 @@ from typing import Sequence
 
 from coneflat import _modp
 from coneflat.funcfield import MultiPoly, RatFunc, _fraction_mod, evaluate_reduced
-from coneflat.coframe import Coframe, draw_seeded
+from coneflat.coframe import AntisymmetricComponents, Coframe, coordinate_dim, \
+    coordinate_triples, draw_seeded, pair_list  # noqa: F401  (coordinate_triples re-exported)
 
 DEFAULT_PRIMES = (2147483647, 2147483629)
 
 
 class XiError(ValueError):
-    """Inconsistent fields or malformed tensor data."""
+    """Malformed subspace data, or Xi_Z outside its hypotheses."""
 
 
 class VarietySamplingError(RuntimeError):
     """Could not find enough smooth cone points."""
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def coordinate_triples(n: int) -> list[tuple[int, int, int]]:
-    """Flattening order of Hom(L^2 V, V): k outer, (i < j) inner."""
-    pairs = pair_list(n)
-    return [(k, i, j) for k in range(n) for (i, j) in pairs]
-
-
-def coordinate_dim(n: int) -> int:
-    return n * (n * (n - 1) // 2)
-
-
-class HomTensor:
-    """Constant antisymmetric tensor c^k_{ij} over a stated field.
-
-    field is "rational" (Fraction entries) or a prime p (ints mod p).
-    """
-
-    def __init__(self, n: int, components: dict[tuple[int, int, int], object],
-                 fieldtag="rational"):
-        self.n = n
-        self.field = fieldtag
-        clean = {}
-        for (k, i, j), val in components.items():
-            if i >= j:
-                raise XiError("tensor components must be stored with i < j")
-            if isinstance(fieldtag, int):
-                val %= fieldtag
-            if _is_zero_scalar(val, fieldtag):
-                continue
-            clean[(k, i, j)] = val
-        self.c = clean
-
-    @staticmethod
-    def from_coordinates(n: int, vec: Sequence, fieldtag="rational") -> HomTensor:
-        triples = coordinate_triples(n)
-        if len(vec) != len(triples):
-            raise XiError("coordinate vector has wrong length")
-        return HomTensor(n, dict(zip(triples, vec)), fieldtag)
-
-    def get(self, k: int, i: int, j: int):
-        if i == j:
-            return self._zero_scalar()
-        if i < j:
-            return self.c.get((k, i, j), self._zero_scalar())
-        val = self.c.get((k, j, i))
-        if val is None:
-            return self._zero_scalar()
-        return (-val) % self.field if isinstance(self.field, int) else -val
-
-    def _zero_scalar(self):
-        return 0 if isinstance(self.field, int) else Fraction(0)
-
-    def coordinates(self) -> list:
-        return [self.c.get(t, self._zero_scalar()) for t in coordinate_triples(self.n)]
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def apply(self, u: Sequence, v: Sequence) -> list:
-        """sigma(u, v) as a vector of field scalars."""
-        out = []
-        modulus = self.field if isinstance(self.field, int) else None
-        for k in range(self.n):
-            acc = self._zero_scalar()
-            for (kk, i, j), c in self.c.items():
-                if kk != k:
-                    continue
-                wedge = u[i] * v[j] - u[j] * v[i]
-                acc = acc + c * wedge
-            out.append(acc % modulus if modulus else acc)
-        return out
-
-    def reduce_mod(self, p: int) -> HomTensor:
-        if self.field != "rational":
-            raise XiError("only rational tensors reduce mod a prime")
-        return HomTensor(self.n, {key: _fraction_mod(val, p) for key, val in self.c.items()}, p)
-
-    def __add__(self, other: HomTensor) -> HomTensor:
-        self._check_compatible(other)
-        out = dict(self.c)
-        modulus = self.field if isinstance(self.field, int) else None
-        for key, val in other.c.items():
-            s = out.get(key, self._zero_scalar()) + val
-            if modulus:
-                s %= modulus
-            if _is_zero_scalar(s, self.field):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return HomTensor(self.n, out, self.field)
-
-    def scale(self, t) -> HomTensor:
-        modulus = self.field if isinstance(self.field, int) else None
-        out = {}
-        for key, val in self.c.items():
-            s = val * t
-            if modulus:
-                s %= modulus
-            if not _is_zero_scalar(s, self.field):
-                out[key] = s
-        return HomTensor(self.n, out, self.field)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomTensor):
-            return NotImplemented
-        return (self.n == other.n and self.field == other.field
-                and self.c == other.c)
-
-    def _check_compatible(self, other: HomTensor):
-        if self.n != other.n or self.field != other.field:
-            raise XiError("tensor field or dimension mismatch")
-
-    def __repr__(self):
-        return f"HomTensor(n={self.n}, field={self.field}, nonzero={len(self.c)})"
-
-
-def _is_zero_scalar(val, fieldtag) -> bool:
-    if isinstance(fieldtag, int):
-        return val % fieldtag == 0
-    return val == 0
+def _reduce(row: Sequence, p: int | None) -> list:
+    """A rational coordinate row over GF(p), or unchanged when p is None."""
+    return [_fraction_mod(v, p) for v in row] if p else list(row)
 
 
 class TensorSubspace:
-    """Linear subspace of Hom(L^2 V, V) with a verified-independent basis."""
+    """Linear subspace of Hom(L^2 V, V) over its field, a prime p or
+    "rational": its basis is a list of verified-independent coordinate
+    rows over that field, in coordinate_triples order."""
 
-    def __init__(self, n: int, fieldtag, basis: Sequence[HomTensor],
+    def __init__(self, n: int, fieldtag, basis: Sequence[Sequence],
                  meta: dict | None = None):
         self.n = n
         self.field = fieldtag
-        self.basis = list(basis)
+        self.basis = [list(row) for row in basis]
         self.meta = dict(meta or {})
-        for b in self.basis:
-            if b.n != n or b.field != fieldtag:
-                raise XiError("basis tensor has wrong dimension or field")
-        rows = [b.coordinates() for b in self.basis]
-        if rows:
-            if isinstance(fieldtag, int):
-                rank = _modp.rank(rows, fieldtag)
-            else:
-                rank = len(_modp.row_reduce(
-                    [[Fraction(v) for v in row] for row in rows])[1])
-            if rank != len(rows):
-                raise XiError("subspace basis is linearly dependent")
+        if any(len(row) != coordinate_dim(n) for row in self.basis):
+            raise XiError("basis row has wrong length")
+        if isinstance(fieldtag, int):
+            rank = _modp.rank(self.basis, fieldtag)
+        else:
+            rank = _modp.rank([[Fraction(v) for v in row] for row in self.basis])
+        if rank != len(self.basis):
+            raise XiError("subspace basis is linearly dependent")
 
     @property
     def dim(self) -> int:
@@ -206,23 +89,19 @@ class TensorSubspace:
 # the contraction map and Xi_V
 # ---------------------------------------------------------------------------
 
-def iota(eta: Sequence) -> HomTensor:
+def iota(eta: Sequence) -> AntisymmetricComponents:
     """Contraction iota(eta): c^k_{ij} = eta_i d^k_j - eta_j d^k_i.
 
     The closed form is validated against the defining wedge identity by
     check_iota_identity (and by the test suite on random inputs).
     """
-    n = len(eta)
     eta = [Fraction(v) for v in eta]
     comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # k = j picks up eta_i, k = i picks up -eta_j
-            if eta[i] != 0:
-                comps[(j, i, j)] = eta[i]
-            if eta[j] != 0:
-                comps[(i, i, j)] = -eta[j]
-    return HomTensor(n, comps, "rational")
+    for i, j in pair_list(len(eta)):
+        # k = j picks up eta_i, k = i picks up -eta_j
+        comps[(j, i, j)] = eta[i]
+        comps[(i, i, j)] = -eta[j]
+    return AntisymmetricComponents(len(eta), comps)
 
 
 def xi_V(n: int) -> TensorSubspace:
@@ -230,11 +109,7 @@ def xi_V(n: int) -> TensorSubspace:
     if n < 3:
         raise XiError("Xi_V requires dimension at least 3; "
                       "the closedness criterion fails on surfaces")
-    basis = []
-    for a in range(n):
-        eta = [Fraction(0)] * n
-        eta[a] = Fraction(1)
-        basis.append(iota(eta))
+    basis = [iota([int(a == b) for b in range(n)]).coordinates() for a in range(n)]
     return TensorSubspace(n, "rational", basis, meta={"kind": "xi_V"})
 
 
@@ -243,42 +118,39 @@ class MembershipResult:
     member: bool
     coefficients: list | None
     residual: object
-    field: object
 
     def __bool__(self):
         return self.member
 
 
-def membership(sigma: HomTensor, space: TensorSubspace) -> MembershipResult:
-    """Decide sigma in span(space) exactly.
+def membership(sigma: AntisymmetricComponents, space: TensorSubspace) -> MembershipResult:
+    """Decide whether a constant tensor sigma, with rational values, lies
+    in span(space), exactly over the space's field.
 
-    Rational mode solves the normal equations over the rationals, so the
-    residual (squared distance) is exact; prime mode is an exact span
-    test with a 0/1 indicator.
+    Over Q the normal equations are solved, so the residual (squared
+    distance) is exact; over GF(p) sigma is reduced mod p and the test is
+    an exact span test with a 0/1 indicator.
     """
     if sigma.n != space.n:
         raise XiError("tensor dimension mismatch")
-    if sigma.field != space.field:
-        raise XiError(f"field mismatch: tensor {sigma.field}, space {space.field}")
-    coords = sigma.coordinates()
-    basis_rows = [b.coordinates() for b in space.basis]
+    basis_rows = space.basis
 
     if isinstance(space.field, int):
         p = space.field
+        coords = _reduce(sigma.coordinates(), p)
         if not basis_rows:
-            member = all(v % p == 0 for v in coords)
-            return MembershipResult(member, [] if member else None,
-                                    0 if member else 1, p)
+            member = not any(coords)
+            return MembershipResult(member, [] if member else None, 0 if member else 1)
         # solve_mod returns None exactly when coords is outside the span
         transposed = [[row[t] for row in basis_rows] for t in range(len(coords))]
         coeffs = _modp.solve_mod(transposed, coords, p)
         member = coeffs is not None
-        return MembershipResult(member, coeffs, 0 if member else 1, p)
+        return MembershipResult(member, coeffs, 0 if member else 1)
 
+    coords = sigma.coordinates()
+    norm = sigma.norm_sq()
     if not basis_rows:
-        norm = sum((v * v for v in coords), Fraction(0))
-        return MembershipResult(norm == 0, [] if norm == 0 else None, norm,
-                                "rational")
+        return MembershipResult(norm == 0, [] if norm == 0 else None, norm)
     m = len(basis_rows)
     gram = [[sum((a * b for a, b in zip(basis_rows[r], basis_rows[s])),
                  Fraction(0)) for s in range(m)] for r in range(m)]
@@ -288,11 +160,10 @@ def membership(sigma: HomTensor, space: TensorSubspace) -> MembershipResult:
     if pivots != list(range(m)):
         raise XiError("singular normal system (dependent basis?)")
     coeffs = [row[m] for row in reduced]
-    norm = sum((v * v for v in coords), Fraction(0))
     residual_sq = norm - sum((c * r for c, r in zip(coeffs, rhs)), Fraction(0))
     member = residual_sq == 0
-    return MembershipResult(member, coeffs if member else None,
-                            residual_sq, "rational")
+    return MembershipResult(member, coeffs if member else None, residual_sq)
+
 
 def check_iota_identity(eta: Sequence[Fraction], cf: Coframe) -> bool:
     """Defining property of the contraction: iota(eta)-sharp (w ^ w)
@@ -557,7 +428,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     config = config or XiConfig()
     f = _smooth_form(z)
     n = f.nvars
-    iota = xi_V(n).basis
+    iota_rows = xi_V(n).basis
     meta = {"backend": config.backend, "seed": str(config.seed), "dims": {}, "notes": []}
 
     fields = list(config.primes) if config.backend == "modp" else [None]
@@ -567,8 +438,7 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     proves = False
     for p, (rows, pivots, cb_rank) in zip(fields, xi_constraints(f, fields)):
         bases[p] = _modp.kernel_from_rref(rows, pivots, coordinate_dim(n), p)
-        iota_vecs = [(b.reduce_mod(p) if p else b).coordinates() for b in iota]
-        contains = _annihilates(rows, iota_vecs, p)
+        contains = _annihilates(rows, [_reduce(row, p) for row in iota_rows], p)
         if not contains:
             meta["notes"].append(f"an iota basis tensor violates a constraint mod {p}")
         contains_all = contains_all and contains
@@ -581,13 +451,10 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     meta["contains_xi_V"] = contains_all
     meta["proves_xi_V"] = proves
     if config.backend == "rational":
-        basis = [HomTensor.from_coordinates(n, [Fraction(v) for v in vec], "rational")
-                 for vec in bases[None]]
-        return TensorSubspace(n, "rational", basis, meta=meta)
+        return TensorSubspace(n, "rational", bases[None], meta=meta)
     meta["primes"] = list(config.primes)
     p0 = config.primes[0]
-    basis = [HomTensor.from_coordinates(n, vec, p0) for vec in bases[p0]]
-    return TensorSubspace(n, p0, basis, meta=meta)
+    return TensorSubspace(n, p0, bases[p0], meta=meta)
 
 
 def _member_codimension(f: MultiPoly, bidegree: tuple[int, int], target) -> int:

@@ -95,7 +95,7 @@ def test_certify_constant_twist_is_flat(capsys):
 
 
 def test_xi_command_reports_dimensions(capsys):
-    code, report = run_json(capsys, "xi", "--seed", "2", "--samples", "30")
+    code, report = run_json(capsys, "xi", "--seed", "2")
     assert code == EXIT_OK
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["smooth_check"]["passed"]
@@ -119,6 +119,21 @@ def test_xi_command_samples_no_cone_point_mod_p(monkeypatch, capsys, backend):
         assert by_name[name]["passed"]
         assert by_name[name]["details"]["rank"] == 3
         assert by_name[name]["details"]["method"] == "ideal_membership"
+
+
+@pytest.mark.parametrize("argv", [
+    ["xi", "--seed", "1", "--samples", "5"],
+    ["model", "flat", "--samples", "5"],
+    ["selftest", "--backend", "rational"],
+    ["verify-identities", "--seed", "1", "--prime", "7"],
+], ids=["xi-samples", "model-samples", "selftest-backend", "identities-prime"])
+def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
+    # --samples is read only by certify and verify-identities, --backend
+    # and --prime only by xi and certify
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_float_backend_is_a_modp_alias_and_numpy_is_never_imported():
@@ -150,7 +165,7 @@ def test_xi_command_rejects_an_unstable_xi_Z(monkeypatch, capsys):
         return space
 
     monkeypatch.setattr(cli.xi, "xi_Z", unstable)
-    code, report = run_json(capsys, "xi", "--seed", "2", "--samples", "30")
+    code, report = run_json(capsys, "xi", "--seed", "2")
     assert code == EXIT_REJECTED
     xiz = {c["name"]: c for c in report["checks"]}["xi_Z"]
     assert not xiz["passed"] and not xiz["details"]["stable"]

@@ -437,14 +437,13 @@ def test_characteristic_check_passes_without_drawing_a_point(fermat_xiz, monkeyp
 
 def _sampled_failures(cs, space, samples, seed):
     """The sampled membership test the exact check replaced, kept as an
-    oracle: the chart points where the structure tensor, reduced mod the
-    prime of space, leaves it."""
+    oracle: the chart points where the structure tensor leaves space,
+    decided over the field of space."""
     struct = cs.structure()
     points = cone.sample_points(cs.coframe.chart, samples, f"{seed}:chi",
                                 avoid=cs.coframe.pole_polynomials())
     return [x for x in points
-            if not xi.membership(xi.HomTensor(cs.n, struct.evaluate_at(x))
-                                 .reduce_mod(space.field), space).member]
+            if not xi.membership(struct.evaluate_at(x), space).member]
 
 
 @pytest.fixture(scope="module")
@@ -479,8 +478,7 @@ def test_characteristic_check_agrees_with_the_sampled_oracle(certify_workload, s
         # each residual is the exact distance to Xi_V by normal equations
         struct = cs.structure()
         assert [r for _, r in report.failures] == [
-            math.sqrt(float(xi.membership(xi.HomTensor(cs.n, struct.evaluate_at(x)),
-                                          xi.xi_V(cs.n)).residual))
+            math.sqrt(float(xi.membership(struct.evaluate_at(x), xi.xi_V(cs.n)).residual))
             for x in failures], (index, kind)
         verdicts.append((kind, report.verdict))
     assert {(kind, ok) for kind, ok in verdicts} == {

@@ -130,7 +130,7 @@ def test_closedness_witness_residual_is_the_membership_residual():
     for cf in coframes:
         v = conformal_closedness_test(cf)
         assert v.status == "not_conformally_closed"
-        tensor = xi.HomTensor(3, cf.structure.evaluate_at(v.witness))
+        tensor = cf.structure.evaluate_at(v.witness)
         assert v.residual == math.sqrt(float(xi.membership(tensor, xi.xi_V(3)).residual))
 
 

@@ -22,9 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coneflat import _modp, cone, xi
-from coneflat.coframe import Chart, Coframe, StructureFunction, \
+from coneflat.coframe import AntisymmetricComponents, Chart, Coframe, StructureFunction, \
     random_polynomial_coframe, sample_points, structure_function
-from coneflat.funcfield import MultiPoly, RatFunc, parse_poly, parse_ratfunc
+from coneflat.funcfield import FuncFieldError, MultiPoly, RatFunc, _fraction_mod, parse_poly, \
+    parse_ratfunc
 
 VARS3 = ["x1", "x2", "x3"]
 P1, P2 = xi.DEFAULT_PRIMES
@@ -70,49 +71,50 @@ def test_coordinate_layout_n3():
     assert xi.coordinate_dim(6) == 90
 
 
-def test_hom_tensor_antisymmetric_access():
-    t = xi.HomTensor(3, {(2, 0, 1): Fraction(5)})
-    assert t.get(2, 0, 1) == 5
-    assert t.get(2, 1, 0) == -5
-    assert t.get(2, 1, 1) == 0
-    assert t.get(0, 0, 1) == 0
-    with pytest.raises(xi.XiError):
-        xi.HomTensor(3, {(0, 1, 0): Fraction(1)})
+def random_value(kind, n, rng):
+    """A random Fraction, or a random rational function on n variables,
+    zero about one time in five."""
+    q = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.randrange(5) else Fraction(0)
+    if kind is Fraction:
+        return q
+    x = [RatFunc.var(n, i) for i in range(n)]
+    return q * (x[rng.randrange(n)] + rng.randint(-2, 2)) / (x[rng.randrange(n)] ** 2 + 1)
 
 
-def test_from_coordinates_round_trip():
+@pytest.mark.parametrize("kind", [Fraction, RatFunc], ids=["Fraction", "RatFunc"])
+def test_antisymmetric_container(kind):
+    """The one (k, i < j) container, with constant or function values:
+    antisymmetric get, the i < j input check, the coordinate round trip,
+    and the trace covector and contraction residual, which at a point
+    are those of the values there."""
     rng = random.Random(20260825)
     for n in (3, 4):
-        vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-               for _ in range(xi.coordinate_dim(n))]
-        t = xi.HomTensor.from_coordinates(n, vec)
+        zero = Fraction(0) if kind is Fraction else RatFunc.const(n, 0)
+        triples = xi.coordinate_triples(n)
+        vec = [random_value(kind, n, rng) for _ in triples]
+        t = StructureFunction.from_coordinates(n, vec, zero)
         assert t.coordinates() == vec
-
-
-def test_prime_field_components_are_normalized():
-    t = xi.HomTensor(3, {(0, 0, 1): -3, (1, 0, 2): 7 * P1}, P1)
-    assert t.get(0, 0, 1) == P1 - 3
-    assert (1, 0, 2) not in t.c
-    assert t == xi.HomTensor(3, {(0, 0, 1): P1 - 3}, P1)
-
-
-def test_apply_matches_componentwise_double_sum():
-    rng = random.Random(7)
-    n = 4
-    comps = {}
-    for (k, i, j) in xi.coordinate_triples(n):
-        comps[(k, i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    t = xi.HomTensor(n, comps)
-    u = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-    v = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-    got = t.apply(u, v)
-    # independent form: sum over all ordered pairs via the signed accessor
-    for k in range(n):
-        direct = sum(t.get(k, i, j) * u[i] * v[j]
-                     for i in range(n) for j in range(n))
-        assert got[k] == direct
-    flipped = t.apply(v, u)
-    assert all(a == -b for a, b in zip(got, flipped))
+        assert set(t.components) == {key for key, v in zip(triples, vec) if v}
+        for (k, i, j), v in zip(triples, vec):
+            assert t.get(k, i, j) == v and t.get(k, j, i) == -v
+            assert t.get(k, i, i) == zero
+        for key in ((0, 1, 0), (0, 1, 1)):
+            with pytest.raises(FuncFieldError):
+                AntisymmetricComponents(n, {key: zero + 1}, zero)
+        with pytest.raises(FuncFieldError):
+            AntisymmetricComponents.from_coordinates(n, vec[1:], zero)
+        # c - iota(xi), written out from the definitions
+        trace = t.trace_covector()
+        assert t.contraction_residual().coordinates() == [
+            t.get(k, i, j) - trace[i] * (k == j) + trace[j] * (k == i) for k, i, j in triples]
+        point = (Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(3, 5))[:n]
+        at = (lambda v: v) if kind is Fraction else (lambda v: v.evaluate(point))
+        values = t if kind is Fraction else t.evaluate_at(point)
+        assert values.coordinates() == [at(v) for v in vec]
+        assert values.trace_covector() == tuple(at(v) for v in trace)
+        residual = values.contraction_residual()
+        assert residual.coordinates() == [at(v) for v in t.contraction_residual().coordinates()]
+        assert residual.norm_sq() == at(t.contraction_residual().norm_sq())
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +151,11 @@ def test_iota_wedge_identity_random_pairs():
         assert xi.check_iota_identity(eta, cf)
 
 
-def constant_structure(tensor: xi.HomTensor) -> StructureFunction:
-    chart = Chart.standard(tensor.n)
-    return StructureFunction(chart, {key: RatFunc.const(tensor.n, val)
-                                     for key, val in tensor.c.items()})
+def constant_structure(tensor: AntisymmetricComponents) -> StructureFunction:
+    n = tensor.n
+    return StructureFunction(
+        n, {key: RatFunc.const(n, val) for key, val in tensor.components.items()},
+        RatFunc.const(n, 0))
 
 
 def test_contraction_residual_vanishes_on_the_image():
@@ -168,17 +171,17 @@ def test_contraction_residual_is_the_distance_to_xi_V():
     # the Heisenberg tensor c^3_{12} = 1 is not a contraction; nor are
     # random constant tensors, whose residual norm matches the normal
     # equations of membership
-    t = xi.HomTensor(3, {(2, 0, 1): Fraction(1)})
+    t = AntisymmetricComponents(3, {(2, 0, 1): Fraction(1)})
     residual = constant_structure(t).contraction_residual()
     assert residual.components == {(2, 0, 1): RatFunc.const(3, 1)}
     rng = random.Random(24)
     for n in (3, 4):
-        t = xi.HomTensor.from_coordinates(
+        t = AntisymmetricComponents.from_coordinates(
             n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 for _ in range(xi.coordinate_dim(n))])
         point = (Fraction(0),) * n
         sf = constant_structure(t)
-        assert sf.residual_norm_sq(sf.evaluate_at(point)) \
+        assert sf.evaluate_at(point).contraction_residual().norm_sq() \
             == xi.membership(t, xi.xi_V(n)).residual
 
 
@@ -189,7 +192,7 @@ def test_residual_norm_from_values_is_the_evaluated_residual():
     assert not residual.is_zero()
     assert sf.contraction_residual() is residual
     for point in sample_points(cf.chart, 4, 25, avoid=cf.pole_polynomials()):
-        assert sf.residual_norm_sq(sf.evaluate_at(point)) \
+        assert sf.evaluate_at(point).contraction_residual().norm_sq() \
             == sum(c.evaluate(point) ** 2 for c in residual.components.values())
 
 
@@ -217,32 +220,54 @@ def test_membership_rational_member_recovers_coefficients():
 def test_membership_rational_nonmember_exact_residual():
     # every iota basis tensor vanishes in the (2, 0, 1) coordinate, so the
     # distance from the unit tensor there to Xi_V is exactly 1
-    t = xi.HomTensor(3, {(2, 0, 1): Fraction(1)})
+    t = AntisymmetricComponents(3, {(2, 0, 1): Fraction(1)})
     res = xi.membership(t, xi.xi_V(3))
     assert not res.member
     assert res.residual == Fraction(1)
     assert res.coefficients is None
 
 
+def reduced_xi_V(p: int) -> xi.TensorSubspace:
+    return xi.TensorSubspace(3, p, [[_fraction_mod(v, p) for v in row] for row in xi.xi_V(3).basis])
+
+
 def test_membership_mod_p():
-    space = xi.TensorSubspace(3, P1, [b.reduce_mod(P1) for b in xi.xi_V(3).basis])
-    good = xi.iota([Fraction(1, 2), Fraction(3), Fraction(-1)]).reduce_mod(P1)
-    res = xi.membership(good, space)
+    space = reduced_xi_V(P1)
+    res = xi.membership(xi.iota([Fraction(1, 2), Fraction(3), Fraction(-1)]), space)
     assert res.member
     assert res.coefficients is not None
-    bad = xi.HomTensor(3, {(2, 0, 1): 1}, P1)
+    bad = AntisymmetricComponents(3, {(2, 0, 1): Fraction(1)})
     assert not xi.membership(bad, space).member
 
 
-def test_membership_field_mismatch_raises():
-    with pytest.raises(xi.XiError):
-        xi.membership(xi.iota([1, 0, 0]).reduce_mod(P1), xi.xi_V(3))
+@pytest.mark.parametrize("p", xi.DEFAULT_PRIMES)
+def test_membership_mod_p_of_a_rational_tensor_agrees_with_Q(p):
+    """A rational tensor is reduced mod the prime of a GF(p) subspace by
+    membership itself: on the Xi_V basis, random Xi_V combinations and the
+    Heisenberg tensor, over GF(p) (Xi_V reduced, and the Fermat quartic's
+    Xi_Z, which equals Xi_V) as over Q."""
+    rng = random.Random(p)
+    tensors = [xi.iota([int(a == b) for b in range(3)]) for a in range(3)]
+    tensors += [xi.iota([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)])
+                for _ in range(5)]
+    tensors.append(AntisymmetricComponents(3, {(2, 0, 1): Fraction(1)}))
+    spaces = [reduced_xi_V(p), xi.xi_Z(fermat_quartic(), xi.XiConfig(primes=(p,)))]
+    assert [s.field for s in spaces] == [p, p]
+    for t in tensors:
+        over_q = xi.membership(t, xi.xi_V(3)).member
+        assert [xi.membership(t, s).member for s in spaces] == [over_q, over_q]
+    assert [xi.membership(t, xi.xi_V(3)).member for t in tensors] == [True] * 8 + [False]
 
 
 def test_subspace_rejects_dependent_basis():
-    b = xi.iota([Fraction(1), Fraction(0), Fraction(0)])
+    b = xi.iota([Fraction(1), Fraction(0), Fraction(0)]).coordinates()
     with pytest.raises(xi.XiError):
-        xi.TensorSubspace(3, "rational", [b, b.scale(2)])
+        xi.TensorSubspace(3, "rational", [b, [2 * v for v in b]])
+    row = [int(v) for v in b]
+    with pytest.raises(xi.XiError):
+        xi.TensorSubspace(3, P1, [row, [(P1 + 2) * v for v in row]])
+    with pytest.raises(xi.XiError):
+        xi.TensorSubspace(3, "rational", [b[1:]])
 
 
 def test_structure_functions_of_models_against_xi_V():
@@ -251,11 +276,9 @@ def test_structure_functions_of_models_against_xi_V():
     space = xi.xi_V(3)
     point = (Fraction(1, 3), Fraction(-1, 2), Fraction(2))
     c_resc = structure_function(rescaled_coframe()).evaluate_at(point)
-    t_resc = xi.HomTensor(3, dict(c_resc))
-    assert xi.membership(t_resc, space).member
+    assert xi.membership(c_resc, space).member
     c_heis = structure_function(heisenberg_coframe()).evaluate_at(point)
-    t_heis = xi.HomTensor(3, dict(c_heis))
-    assert not xi.membership(t_heis, space).member
+    assert not xi.membership(c_heis, space).member
     # the same verdicts as rational-function identities
     assert structure_function(rescaled_coframe()).contraction_residual().is_zero()
     heis = structure_function(heisenberg_coframe()).contraction_residual()
@@ -401,7 +424,7 @@ def sampled_constraint_rref(f, p: int, seed):
 
 def assert_matches_sampled_kernel(f, seed):
     space = xi.xi_Z(f, xi.XiConfig(seed=seed))
-    exact = [b.coordinates() for b in space.basis]
+    exact = space.basis
     oracle = sampled_constraint_rref(f, P1, seed)
     for row in oracle:
         for vec in exact:
@@ -473,10 +496,10 @@ def test_xi_Z_rational_members_reduce_to_zero_modulo_groebner_basis():
                                               for i in range(3) for j in range(3))
                                 for k in range(3)))
 
-    for t in space.basis:
-        assert basis.reduce(g_sigma(t))[1] == 0
+    for row in space.basis:
+        assert basis.reduce(g_sigma(AntisymmetricComponents.from_coordinates(3, row)))[1] == 0
     # the Heisenberg tensor is no member
-    assert basis.reduce(g_sigma(xi.HomTensor(3, {(2, 0, 1): Fraction(1)})))[1] != 0
+    assert basis.reduce(g_sigma(AntisymmetricComponents(3, {(2, 0, 1): Fraction(1)})))[1] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +522,8 @@ def test_xi_Z_rational_backend_dimensions():
     assert fermat.field == "rational" and fermat.dim == 3
     assert fermat.meta["dims"] == {"rational": 3}
     assert fermat.meta["proves_xi_V"] and fermat.meta["contains_xi_V"]
-    for b in xi.xi_V(3).basis:
-        assert xi.membership(b, fermat).member
+    for a in range(3):
+        assert xi.membership(xi.iota([int(a == b) for b in range(3)]), fermat).member
     quadric = xi.xi_Z(form("x1^2 + x2^2 + x3^2 + x4^2"), xi.XiConfig(backend="rational"))
     assert quadric.dim == 8
     assert quadric.meta["contains_xi_V"] and not quadric.meta["proves_xi_V"]
