@@ -466,6 +466,9 @@ class QuadratureError(RuntimeError):
 # benchmark's grid round trips use at most 81 and the test suite 513
 _MAX_SIMPSON_EVALS = 10_000
 
+# tolerance of every path quadrature of a GridPotential
+QUAD_TOL = 1e-10
+
 
 def _adaptive_simpson(g: Callable[[float], float], a: float, b: float,
                       tol: float, stage: str) -> float:
@@ -524,18 +527,17 @@ def path_integral(components: Sequence[RatFunc], start: Sequence[float],
 
 class GridPotential:
     """Quadrature-backed potential: h(x) integrates the form from the
-    base point along axis polylines, cross-checked on a second path.
+    base point along axis polylines, to QUAD_TOL, cross-checked on a
+    second path.
 
     Values are cached; the two-path discrepancy at each evaluated point
     is recorded in path_residuals.
     """
 
-    def __init__(self, components: Sequence[RatFunc],
-                 base_point: Sequence[Fraction], tol: float = 1e-10):
+    def __init__(self, components: Sequence[RatFunc], base_point: Sequence[Fraction]):
         self.nvars = len(components)
         self.components = list(components)
         self.base_point = tuple(float(v) for v in base_point)
-        self.tol = tol
         self.path_residuals: list[float] = []
         self._cache: dict[tuple[float, ...], float] = {}
 
@@ -549,7 +551,7 @@ class GridPotential:
         for order in orders:
             try:
                 values.append(path_integral(self.components, self.base_point,
-                                            key, order, self.tol))
+                                            key, order, QUAD_TOL))
             except (PoleError, ZeroDivisionError, OverflowError):
                 continue
             if len(values) == 2:
@@ -566,4 +568,4 @@ class GridPotential:
 
     def terms(self) -> list[str]:
         """Certificate terms, as LogCombination.terms."""
-        return [f"quadrature grid, tol {self.tol}"]
+        return [f"quadrature grid, tol {QUAD_TOL}"]

@@ -290,7 +290,8 @@ def cmd_certify(args) -> RunReport:
 
     report = RunReport("certify", _echo(args))
     t0 = time.perf_counter()
-    space = xi.xi_Z(z, _xi_config(args))
+    # over Q: the reduction that the characteristic check reads too
+    space = xi.xi_Z(z, xi.XiConfig(backend="rational"))
     report.add("xi_Z_dims", True, dim=space.dim, equal_dims=space.dim == cs.n)
     cert = flatten.certify(cs, space, flatten.CertifyConfig(
         seed=args.seed, validation_samples=args.samples))
@@ -316,9 +317,8 @@ def cmd_verify_identities(args) -> RunReport:
     except ConeError as exc:
         raise ConfigError(str(exc)) from exc
     chart = Chart.standard(3)
-    cases = args.samples
     all_exact = True
-    for case in range(cases):
+    for case in range(args.cases):
         rng = random.Random(f"{args.seed}:{case}")
         cf = random_polynomial_coframe(chart, rng,
                                        unimodular=(case % 2 == 0))
@@ -394,7 +394,7 @@ def cmd_selftest(args) -> RunReport:
         report.add(f"xi_V_dim_n{n}", xi.xi_V(n).dim == n, dim=xi.xi_V(n).dim)
 
     z = default_variety()
-    space = xi.xi_Z(z)
+    space = xi.xi_Z(z, xi.XiConfig(backend="rational"))
     report.add("fermat_xi_Z", space.dim == 3 and space.meta.get("stable"),
                dim=space.dim)
 
@@ -428,7 +428,7 @@ def cmd_selftest(args) -> RunReport:
 
 def _echo(args) -> dict:
     keep = ("variety", "coframe", "model", "backend", "prime", "samples",
-            "seed", "format", "scale", "twist", "name", "out")
+            "cases", "seed", "format", "scale", "twist", "name", "out")
     return {k: getattr(args, k) for k in keep
             if getattr(args, k, None) is not None}
 
@@ -451,27 +451,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_seed: bool):
-        p.add_argument("--variety", help="variety JSON file")
-        p.add_argument("--seed", required=need_seed,
-                       help="seed for all sampling (mandatory)")
+    def common(p, variety: bool = True, seed: bool = True):
+        if variety:
+            p.add_argument("--variety", help="variety JSON file")
+        if seed:
+            p.add_argument("--seed", required=True,
+                           help="seed for all sampling (mandatory)")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def xi_flags(p):
-        p.add_argument("--backend", choices=("modp", "float", "rational"),
-                       default="modp")
-        p.add_argument("--prime", action="append", type=int,
-                       help="a prime of the modp backend (repeat for more)")
-
     p = sub.add_parser("xi", help="span, tangent-line, and xi_Z dimensions")
-    common(p, need_seed=True)
-    xi_flags(p)
+    common(p)
+    p.add_argument("--backend", choices=("modp", "float", "rational"),
+                   default="modp")
+    p.add_argument("--prime", action="append", type=int,
+                   help="a prime of the modp backend (repeat for more)")
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("certify", help="run the flattening pipeline")
-    common(p, need_seed=True)
-    xi_flags(p)
+    common(p)
     p.add_argument("--samples", type=int, default=50,
                    help="validation samples of the conformal factor")
     p.add_argument("--coframe", help="coframe JSON file")
@@ -483,20 +481,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities",
                        help="exact identity suite on random coframes")
-    common(p, need_seed=True)
-    p.add_argument("--cases", "--samples", dest="samples", type=int, default=25,
+    common(p)
+    p.add_argument("--cases", "--samples", dest="cases", type=int, default=25,
                    help="number of random coframe cases")
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("model", help="emit problem files for a model")
     p.add_argument("name", choices=sorted(MODELS))
-    common(p, need_seed=False)
+    common(p, seed=False)
     p.add_argument("--scale", default="1/(1 - x1)")
     p.add_argument("--twist", default="x1")
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("selftest", help="condensed acceptance battery")
-    common(p, need_seed=False)
+    common(p, variety=False, seed=False)
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -129,8 +129,12 @@ def draw_seeded(draw, count: int, seed, tag: str, limit: int, error: type[Except
     return found
 
 
-def sample_points(chart: Chart, count: int, seed, avoid: Sequence[MultiPoly] = (),
-                  max_tries_factor: int = 80) -> list[tuple[Fraction, ...]]:
+# candidates a chart sampler draws per requested point before it gives up
+TRIES_PER_POINT = 80
+
+
+def sample_points(chart: Chart, count: int, seed,
+                  avoid: Sequence[MultiPoly] = ()) -> list[tuple[Fraction, ...]]:
     """Deterministic small-rational sample points avoiding given pole loci;
     candidate index i is drawn from seed f"{seed}:{i}"."""
 
@@ -141,7 +145,7 @@ def sample_points(chart: Chart, count: int, seed, avoid: Sequence[MultiPoly] = (
             return None
         return candidate
 
-    return draw_seeded(draw, count, seed, "", max(count * max_tries_factor, 32),
+    return draw_seeded(draw, count, seed, "", max(count * TRIES_PER_POINT, 32),
                        SamplingError,
                        "only {found} of {count} sample points found after {limit} tries")
 
@@ -157,7 +161,8 @@ def float_points(chart: Chart, count: int, seed,
             return None
         return candidate
 
-    return draw_seeded(draw, count, seed, "f", max(count * 80, 32), SamplingError,
+    return draw_seeded(draw, count, seed, "f", max(count * TRIES_PER_POINT, 32),
+                       SamplingError,
                        "only {found} of {count} float samples found after {limit} tries")
 
 

@@ -13,7 +13,9 @@ functions gamma(mu^k), each linear in y, and the double bracket is the
 definition of the structure function once A B = I holds and the lambda
 rows are d mu (double_bracket_check).  characteristic_check decides over
 Q on the structure function's coordinates (coordinate_triples order);
-of the Xi_Z subspace it reads only the dimension n.  sample_cone, the
+of the Xi_Z subspace it reads only the dimension n.  A rejection by it
+or by flatten.conformal_closedness_test names its witness through the
+one scan, witness_scan.  sample_cone, the
 exact GF(p) cone sampler, has no caller in the package; it stays only
 because the perfbench tracer looks it up, until the benchmark stops
 tracing it (ROADMAP item 1).
@@ -51,8 +53,8 @@ class Hypersurface:
 
     Degree 1 is excluded: a hyperplane has no tangent-cone content and
     the downstream theory assumes non-linearity.  smoothness (see
-    smooth_check) and xi_constraints are computed on first read and are
-    read-only.
+    smooth_check) and the Xi_Z match and its reductions (xi_constraints)
+    are computed on first read and are read-only.
     """
 
     def __init__(self, f: MultiPoly, degree: int | None = None):
@@ -73,7 +75,8 @@ class Hypersurface:
         self.n = f.nvars
         self.degree = d
         self._smoothness: SmoothnessReport | None = None
-        self._xi_constraints: list | None = None
+        self._xi_match: tuple | None = None
+        self._xi_reductions: dict = {}
 
     @property
     def smoothness(self) -> SmoothnessReport:
@@ -82,14 +85,18 @@ class Hypersurface:
             self._smoothness = _macaulay_smoothness(self)
         return self._smoothness
 
-    @property
-    def xi_constraints(self) -> list[list[Fraction]]:
-        """The rows over Q that cut Xi_Z out of Hom(L^2 V, V), in
-        coordinate_triples order (xi.xi_constraints)."""
-        if self._xi_constraints is None:
-            [(rows, _, _)] = xi.xi_constraints(self.f)
-            self._xi_constraints = rows
-        return self._xi_constraints
+    def xi_constraints(self, p: int | None = None) -> tuple[list, list, int]:
+        """(rows, pivots, rank of the multiplier block) cutting Xi_Z out
+        of Hom(L^2 V, V) over GF(p), or Q when p is None: the bidegree-(d, 1)
+        match (xi.membership_matrix), built once, reduced once per field
+        by xi._target_constraints.  A tensor, in coordinate_triples order,
+        lies in Xi_Z exactly when every row annihilates it."""
+        if p not in self._xi_reductions:
+            if self._xi_match is None:
+                self._xi_match = xi.membership_matrix(self.f, (self.degree, 1),
+                                                      xi._xi_target(self.f))
+            self._xi_reductions[p] = xi._target_constraints(*self._xi_match, p)
+        return self._xi_reductions[p]
 
     def gradient(self) -> list[MultiPoly]:
         return [self.f.diff(i) for i in range(self.n)]
@@ -351,10 +358,8 @@ class BracketReport:
 @dataclass
 class CharacteristicReport:
     verdict: bool
-    samples: int = 0
     witness: tuple | None = None
     witness_residual: float | None = None
-    failures: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
     def __bool__(self):
@@ -412,50 +417,59 @@ def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0) -> Bracke
     return BracketReport(verdict=cs.induced.bracket_identity)
 
 
+# chart points scanned for the witness of a rejection (witness_scan)
+WITNESS_SAMPLES = 25
+
+
+def witness_scan(cf: Coframe, seed, escapes) -> tuple[tuple, float] | None:
+    """The witness of a rejection an identity over Q has proved: the
+    first of WITNESS_SAMPLES pole-free chart points, seeded seed, where
+    escapes(values) holds for the structure function's values, with the
+    exact distance from those values to Xi_V (the norm of their
+    contraction_residual, as a float); None when no scanned point does."""
+    struct = cf.structure
+    for x in sample_points(cf.chart, WITNESS_SAMPLES, seed, avoid=cf.pole_polynomials()):
+        values = struct.evaluate_at(x)
+        if escapes(values):
+            return x, math.sqrt(float(values.contraction_residual().norm_sq()))
+    return None
+
+
 def characteristic_check(cs: ConeStructure, xiZ: xi.TensorSubspace,
-                         samples: int = 25, seed=0) -> CharacteristicReport:
+                         seed=0) -> CharacteristicReport:
     """Decide, by identities over Q, whether the structure tensor takes
     values in Xi_Z: the condition for the geodesic flow to define a
     characteristic connection.
 
-    Each row of cs.z.xi_constraints, applied to the structure function's
-    components in coordinate_triples order, is a linear combination of
-    rational functions.  The tensor lies in Xi_Z at every point exactly
-    when all of them are zero; then no point is drawn.  Of xiZ only its
+    Each row of the Xi_Z constraints over Q (cs.z.xi_constraints()),
+    applied to the structure function's components in
+    coordinate_triples order, is a linear combination of rational
+    functions.  The tensor lies in Xi_Z at every point exactly when all
+    of them are zero; then no point is drawn.  Of xiZ only its
     dimension n is read, so the check decides over Q whatever the field
     of xiZ.
 
-    When a combination is nonzero the check fails, and the samples chart
-    points seeded f"{seed}:chi" (report.samples, drawn only then) are
-    scanned: failures lists each point where the evaluated tensor leaves
-    Xi_Z, with its residual, and the witness is the first of them (None
-    if the nonzero combinations vanish at every scanned point).  The
-    residual is the exact Euclidean distance from the evaluated tensor to
-    the contraction image Xi_V (converted to float), the norm of its
-    contraction_residual.  When dim Xi_Z = dim Xi_V and Xi_V is
-    contained in Xi_Z, that distance equals the distance to Xi_Z itself;
-    otherwise it is reported under the same label but is only an upper
-    bound certificate of nonmembership in Xi_V.
+    When a combination is nonzero the check fails, and witness_scan,
+    seeded f"{seed}:chi", names the first scanned point where the
+    evaluated tensor leaves Xi_Z, with its distance to Xi_V; the
+    rejection stands with witness None when no scanned point leaves.
+    When dim Xi_Z = dim Xi_V and Xi_V is contained in Xi_Z, that
+    distance equals the distance to Xi_Z itself; otherwise it is
+    reported under the same label but is only an upper bound
+    certificate of nonmembership in Xi_V.
     """
     if xiZ.n != cs.n:
         raise ConeError("Xi_Z subspace has wrong dimension")
     struct = cs.structure()
-    rows = cs.z.xi_constraints
+    rows = cs.z.xi_constraints()[0]
     comps = struct.coordinates()
     exact = all(sum((c * comp for c, comp in zip(row, comps) if c and comp),
                     struct.zero).is_zero() for row in rows)
     report = CharacteristicReport(
-        verdict=exact, samples=samples,
+        verdict=exact,
         details={"residual_metric": "euclidean distance to the contraction image"})
-    if exact:
-        return report
-    xs = sample_points(cs.coframe.chart, samples, f"{seed}:chi",
-                       avoid=cs.coframe.pole_polynomials())
-    for x in xs:
-        values = struct.evaluate_at(x)
-        if not xi._annihilates(rows, [values.coordinates()], None):
-            residual = values.contraction_residual().norm_sq()
-            report.failures.append((x, math.sqrt(float(residual))))
-    if report.failures:
-        report.witness, report.witness_residual = report.failures[0]
+    if not exact:
+        found = witness_scan(cs.coframe, f"{seed}:chi", lambda values:
+                             not xi._annihilates(rows, [values.coordinates()], None))
+        report.witness, report.witness_residual = found or (None, None)
     return report

@@ -8,8 +8,12 @@ Everything stays in exact arithmetic while the potential is a
 rational-log combination; identities that are theorems at that point
 are still re-verified exactly, and a violation raises
 InternalIdentityError instead of producing a wrong certificate.  A
-quadrature-backed potential is checked in floating point against a
-stated tolerance (conformal_factor).  No stage samples the cone.
+quadrature-backed potential is checked in floating point against
+VALIDATION_TOL (conformal_factor), and its quadratures run to
+_antideriv.QUAD_TOL.  A rejection at either exact stage names its
+witness through the one scan, cone.witness_scan; when no scanned point
+escapes, the proved rejection stands with no witness point.  No stage
+samples the cone.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ from coneflat._antideriv import (
     QuadratureError,
     integrate_closed_form,
 )
-from coneflat.coframe import Coframe, float_points, sample_points
-from coneflat.cone import ConeStructure, characteristic_check
+from coneflat.coframe import Coframe, float_points
+from coneflat.cone import ConeStructure, characteristic_check, witness_scan
 from coneflat.funcfield import PoleError, RatFunc
+
+# bound on the float residuals of a quadrature conformal factor
+VALIDATION_TOL = 1e-9
 
 
 class FlattenError(ValueError):
@@ -64,8 +71,7 @@ class ClosednessVerdict:
         return self.status != "not_conformally_closed"
 
 
-def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
-                              seed=0) -> ClosednessVerdict:
+def conformal_closedness_test(cf: Coframe, seed=0) -> ClosednessVerdict:
     """Decide whether some rescaling f*omega is closed, exactly.
 
     The candidate covector xi is read off the verified structure function
@@ -73,9 +79,12 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
     identity c = iota(xi) in the frame basis.  As omega is a coframe,
     that is d omega^k = s wedge omega^k with s = xi sharp omega, and no
     product with A is formed.  iota(xi) is the orthogonal projection of c
-    onto the contraction image (StructureFunction.contraction_residual),
-    so on failure a sampled witness carries the Euclidean distance from
-    the evaluated structure tensor to the contraction image.
+    onto the contraction image (StructureFunction.contraction_residual).
+    On failure witness_scan, seeded f"{seed}:cw", names the first scanned
+    point where the evaluated residual is nonzero, with the Euclidean
+    distance from the evaluated structure tensor to the contraction
+    image; when no scanned point escapes, the identity has still proved
+    the rejection, and witness and residual are None.
     """
     n = cf.n
     zero = RatFunc.const(n, 0)
@@ -98,19 +107,12 @@ def conformal_closedness_test(cf: Coframe, witness_samples: int = 8,
         return ClosednessVerdict("conformally_closed", xi=xi_row,
                                  one_form=tuple(s))
 
-    points = sample_points(cf.chart, witness_samples, f"{seed}:cw",
-                           avoid=cf.pole_polynomials())
-    for x in points:
-        residual = struct.evaluate_at(x).contraction_residual().norm_sq()
-        if residual:
-            return ClosednessVerdict(
-                "not_conformally_closed", witness=x,
-                residual=math.sqrt(float(residual)),
-                details={"residual_metric":
-                         "euclidean distance to the contraction image"})
-    raise InternalIdentityError(
-        "structure function escapes the contraction image as a rational "
-        "function but at no sampled point")
+    found = witness_scan(cf, f"{seed}:cw",
+                         lambda values: values.contraction_residual().norm_sq() != 0)
+    witness, residual = found or (None, None)
+    return ClosednessVerdict("not_conformally_closed", witness=witness, residual=residual,
+                             details={"residual_metric":
+                                      "euclidean distance to the contraction image"})
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +139,13 @@ class HPotential:
         return (self.symbolic or self.grid).terms()
 
 
-def integrate_h(cf: Coframe, verdict: ClosednessVerdict,
-                quad_tol: float = 1e-10) -> HPotential:
+def integrate_h(cf: Coframe, verdict: ClosednessVerdict) -> HPotential:
     """Solve dh = s with h(base) = 0, s = verdict.one_form = xi sharp omega.
 
     conformal_closedness_test built s and proved ds = 0; a rejected
     verdict has none and raises FlattenError.  h is the symbolic
     antiderivative when one verifies exactly, and path quadrature
-    (tolerance quad_tol) when a residue is not a rational constant.
+    (to _antideriv.QUAD_TOL) when a residue is not a rational constant.
     """
     s = verdict.one_form
     if s is None:
@@ -153,7 +154,7 @@ def integrate_h(cf: Coframe, verdict: ClosednessVerdict,
     combo = integrate_closed_form(s, base)
     if combo is not None:
         return HPotential("symbolic", s, symbolic=combo)
-    return HPotential("grid", s, grid=GridPotential(s, base, tol=quad_tol))
+    return HPotential("grid", s, grid=GridPotential(s, base))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ class ConformalFactor:
 
 
 def conformal_factor(cf: Coframe, h: HPotential, validation_samples: int = 20,
-                     seed=0, tol: float = 1e-9) -> ConformalFactor:
+                     seed=0) -> ConformalFactor:
     """The factor making f*omega closed.
 
     Rational f: d(f omega) = 0 is verified exactly, residual 0.  Other
@@ -186,9 +187,8 @@ def conformal_factor(cf: Coframe, h: HPotential, validation_samples: int = 20,
     df = -f dh, is evaluated in floating point at pole-free samples, and
     so is h's quadrature there, on two paths from the base point.  Both
     the residual and the largest two-path discrepancy of h must stay
-    within tol (certify passes CertifyConfig.validation_tol, 1e-9 by
-    default); exceeding it means the pipeline itself is broken and
-    raises InternalIdentityError.
+    within VALIDATION_TOL; exceeding it means the pipeline itself is
+    broken and raises InternalIdentityError.
     """
     n = cf.n
     base = cf.chart.base_point
@@ -225,13 +225,13 @@ def conformal_factor(cf: Coframe, h: HPotential, validation_samples: int = 20,
                     r = fval * (da[i][k][j] - sval[i] * aval[k][j]
                                 - da[j][k][i] + sval[j] * aval[k][i])
                     worst = max(worst, abs(r))
-    if worst > tol:
+    if worst > VALIDATION_TOL:
         raise InternalIdentityError(
-            f"d(f omega) residual {worst:.3e} above tolerance {tol:.1e}")
+            f"d(f omega) residual {worst:.3e} above tolerance {VALIDATION_TOL:.1e}")
     paths = h.grid.max_path_residual() if h.grid is not None else 0.0
-    if paths > tol:
+    if paths > VALIDATION_TOL:
         raise InternalIdentityError(
-            f"two-path discrepancy of h {paths:.3e} above tolerance {tol:.1e}")
+            f"two-path discrepancy of h {paths:.3e} above tolerance {VALIDATION_TOL:.1e}")
     return ConformalFactor("numeric", None, h, max_residual=worst,
                            samples=len(points),
                            details={"verification":
@@ -270,12 +270,11 @@ class FlatChart:
         return [c.terms() for c in self.components]
 
 
-def flat_coordinates(cf: Coframe, factor: ConformalFactor,
-                     quad_tol: float = 1e-10) -> FlatChart:
+def flat_coordinates(cf: Coframe, factor: ConformalFactor) -> FlatChart:
     """Integrate f*omega to the flat chart map.
 
     Each component is a rational-log antiderivative when one is found,
-    else a quadrature grid (tolerance quad_tol) that is evaluated only
+    else a quadrature grid (to _antideriv.QUAD_TOL) that is evaluated only
     on demand.  The Jacobian at the base point is f(base)*A(base) =
     A(base) and must be invertible.  No cone point is sampled: Z's
     equation is homogeneous, so d zeta = f omega maps each cone C_x onto
@@ -292,28 +291,15 @@ def flat_coordinates(cf: Coframe, factor: ConformalFactor,
                                     "base point")
 
     components = []
-    modes = []
-    if factor.rational is not None:
-        for k in range(n):
+    for k in range(n):
+        if factor.rational is not None:
             row = [factor.rational * cf.a[k][j] for j in range(n)]
             combo = integrate_closed_form(row, base)
-            if combo is not None:
-                components.append(combo)
-                modes.append("symbolic")
-            else:
-                components.append(GridPotential(row, base, tol=quad_tol))
-                modes.append("grid")
-    else:
-        for k in range(n):
-            row = [_ScaledFormComponent(factor, cf.a[k][j]) for j in range(n)]
-            components.append(GridPotential(row, base, tol=quad_tol))
-            modes.append("grid")
-    if all(m == "symbolic" for m in modes):
-        mode = "symbolic"
-    elif all(m == "grid" for m in modes):
-        mode = "grid"
-    else:
-        mode = "mixed"
+        else:
+            row, combo = [_ScaledFormComponent(factor, cf.a[k][j]) for j in range(n)], None
+        components.append(GridPotential(row, base) if combo is None else combo)
+    modes = {"grid" if isinstance(c, GridPotential) else "symbolic" for c in components}
+    mode = modes.pop() if len(modes) == 1 else "mixed"
 
     return FlatChart(mode, tuple(components), jac,
                      details={"jacobian": "f(base) * A(base), f(base) = 1"})
@@ -325,34 +311,24 @@ def flat_coordinates(cf: Coframe, factor: ConformalFactor,
 
 @dataclass
 class CertifyConfig:
-    """Settings of certify.  membership_samples sizes the witness scan of
-    a failed characteristic_check, witness_samples that of a failed
-    conformal_closedness_test; validation_samples and validation_tol
-    size and bound the float checks of a quadrature conformal_factor,
-    and quad_tol is the tolerance of its quadratures.  Each sample
-    evaluates h's quadrature on two paths, so validation_samples sets
-    most of a quadrature certificate's cost.  No stage reads
-    tol_membership: the characteristic check is exact.  It stays, at its
-    default, while the perfbench certify workload passes it, and in
-    echo."""
+    """Settings of certify: seed seeds every draw; validation_samples
+    sizes the float checks of a quadrature conformal_factor, and as each
+    sample evaluates h's quadrature on two paths, it sets most of a
+    quadrature certificate's cost.  No stage reads tol_membership: the
+    characteristic check is exact.  It stays, at its default, while the
+    perfbench certify workload passes it, and in echo.  The sizes and
+    tolerances that no caller sets are module constants:
+    cone.WITNESS_SAMPLES, VALIDATION_TOL and _antideriv.QUAD_TOL."""
 
-    membership_samples: int = 25
-    validation_samples: int = 25
-    witness_samples: int = 8
     seed: object = 0
+    validation_samples: int = 25
     tol_membership: float = 1e-8
-    quad_tol: float = 1e-10
-    validation_tol: float = 1e-9
 
     def echo(self) -> dict:
         return {
-            "membership_samples": self.membership_samples,
             "validation_samples": self.validation_samples,
-            "witness_samples": self.witness_samples,
             "seed": str(self.seed),
             "tol_membership": self.tol_membership,
-            "quad_tol": self.quad_tol,
-            "validation_tol": self.validation_tol,
         }
 
 
@@ -407,19 +383,18 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
     """Run the full pipeline and emit a certificate.
 
     Rejection (a mathematically meaningful negative) is reported with a
-    witness; an InternalIdentityError anywhere is reported as status
-    "error" with the failing stage.
+    witness, whose point is None when no scanned point escapes (the
+    rejection is still proved); residuals["membership"] and
+    residuals["closedness"] hold 0.0 for a passed stage and the witness's
+    residual for a rejecting one.  An InternalIdentityError anywhere is
+    reported as status "error" with the failing stage.
     """
     cfg = config or CertifyConfig()
     cert = FlattenCertificate(status="error", stage="characteristic_check",
                               config=cfg)
     try:
-        char = characteristic_check(cs, xiZ, samples=cfg.membership_samples,
-                                    seed=cfg.seed)
+        char = characteristic_check(cs, xiZ, seed=cfg.seed)
         cert.characteristic = char
-        cert.residuals["membership_max"] = (
-            max((r for _, r in char.failures), default=0.0)
-            if char.failures else 0.0)
         if xiZ.dim == cs.n:
             cert.notes.append("dim xi_Z equals dim xi_V; membership in "
                               "xi_Z certifies membership in xi_V")
@@ -427,41 +402,30 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
             cert.notes.append(f"dim xi_Z = {xiZ.dim} differs from "
                               f"dim xi_V = {cs.n}; membership in xi_Z is "
                               "necessary only")
-        if not char.verdict:
-            cert.status = "rejected"
-            cert.witness = {"stage": "characteristic_check",
-                            "point": (None if char.witness is None
-                                      else [str(v) for v in char.witness]),
-                            "residual": char.witness_residual}
+        if not _record(cert, "membership", char.verdict, char.witness,
+                       char.witness_residual):
             return cert
 
         cert.stage = "conformal_closedness_test"
-        verdict = conformal_closedness_test(
-            cs.coframe, witness_samples=cfg.witness_samples, seed=cfg.seed)
+        verdict = conformal_closedness_test(cs.coframe, seed=cfg.seed)
         cert.verdict = verdict
-        cert.residuals["closedness"] = (verdict.residual
-                                        if verdict.residual is not None
-                                        else 0.0)
-        if not verdict:
-            cert.status = "rejected"
-            cert.witness = {"stage": "conformal_closedness_test",
-                            "point": [str(v) for v in verdict.witness],
-                            "residual": verdict.residual}
+        if not _record(cert, "closedness", bool(verdict), verdict.witness,
+                       verdict.residual):
             return cert
 
         cert.stage = "integrate_h"
-        h = integrate_h(cs.coframe, verdict, quad_tol=cfg.quad_tol)
+        h = integrate_h(cs.coframe, verdict)
         cert.h = h
 
         cert.stage = "conformal_factor"
         factor = conformal_factor(cs.coframe, h,
                                   validation_samples=cfg.validation_samples,
-                                  seed=cfg.seed, tol=cfg.validation_tol)
+                                  seed=cfg.seed)
         cert.factor = factor
         cert.residuals["d_f_omega"] = factor.max_residual
 
         cert.stage = "flat_coordinates"
-        zeta = flat_coordinates(cs.coframe, factor, quad_tol=cfg.quad_tol)
+        zeta = flat_coordinates(cs.coframe, factor)
         cert.zeta = zeta
         # two-path discrepancies of the quadrature potentials evaluated so far
         grids = [g for g in (h.grid, *zeta.components) if isinstance(g, GridPotential)]
@@ -483,3 +447,16 @@ def certify(cs: ConeStructure, xiZ: xi.TensorSubspace,
         cert.status = "error"
         cert.notes.append(f"{cert.stage}: {type(exc).__name__}: {exc}")
         return cert
+
+
+def _record(cert: FlattenCertificate, key: str, passed: bool, point, residual) -> bool:
+    """Record an exact stage's outcome under residuals[key]: 0.0 when it
+    passed, else the witness's residual (None with no witness point),
+    and on rejection the witness itself.  Returns passed."""
+    cert.residuals[key] = 0.0 if passed else residual
+    if not passed:
+        cert.status = "rejected"
+        cert.witness = {"stage": cert.stage,
+                        "point": None if point is None else [str(v) for v in point],
+                        "residual": residual}
+    return passed

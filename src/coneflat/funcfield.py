@@ -357,7 +357,8 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence):
         """Evaluate at a point of Fractions or ints (an exact Fraction) or
-        of floats (a float, each coefficient correctly rounded)."""
+        of floats (a float, each coefficient correctly rounded); any other
+        coordinate, a complex number say, raises FuncFieldError."""
         if len(point) != self.nvars:
             raise FuncFieldError("point has wrong dimension")
         den = self.den
@@ -377,6 +378,8 @@ class MultiPoly:
             top = max(by_degree, default=0)
             total = sum(t * scale ** (top - d) for d, t in by_degree.items())
             return Fraction(total, den * scale ** top)
+        if not all(isinstance(v, (int, float, Fraction)) for v in point):
+            raise FuncFieldError("point coordinates must be ints, Fractions or floats")
         # int true division is correctly rounded, as float(Fraction) is
         total = 0.0
         for exp, coeff in self.coeffs.items():

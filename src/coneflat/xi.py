@@ -13,7 +13,9 @@ membership.  G_sigma has bidegree (d, 1) in (u, v), and the members of
 that bidegree are (c . v) f(u) + (b . u) (grad f(u) . v) for constant
 vectors c, b.  Xi_Z is therefore the sigma-part of the kernel of one
 integer coefficient-match matrix, reduced exactly over each prime field
-or over Q; xi_Z raises XiError when the hypotheses fail.
+or over Q; a cone.Hypersurface builds that match once and keeps one
+reduction per field, which xi_Z and cone.characteristic_check both
+read.  xi_Z raises XiError when the hypotheses fail.
 
 The same match (membership_matrix, for any bidegree and family of
 target forms) decides the two degeneracy probes exactly over Q: Z spans
@@ -273,22 +275,23 @@ class XiConfig:
                 raise XiError(f"{p} is not prime")
 
 
-def _smooth_form(z) -> MultiPoly:
-    """The form f of z, once Z = {f = 0} is proved smooth with n >= 3:
-    the hypotheses under which (f, grad f . v) is radical.  Reads the
-    cached Hypersurface.smoothness (building a Hypersurface for a bare
-    form); raises XiError otherwise."""
+def _smooth_hypersurface(z):
+    """z as a cone.Hypersurface (built here for a bare form), once
+    Z = {f = 0} is proved smooth with n >= 3: the hypotheses under which
+    (f, grad f . v) is radical.  Reads the cached
+    Hypersurface.smoothness; raises XiError otherwise."""
     from coneflat.cone import ConeError, Hypersurface   # cone imports this module
     f = _poly_of(z)
     try:
         # Hypersurface also refuses n < 3
-        report = (z if isinstance(z, Hypersurface) else Hypersurface(f)).smoothness
+        z = z if isinstance(z, Hypersurface) else Hypersurface(f)
+        report = z.smoothness
     except ConeError as exc:
         raise XiError(f"smoothness of Z is not proved: {exc}") from exc
     if not report:
         raise XiError("Xi_Z and the degeneracy probes are exact for smooth Z "
                       "only; this Z is singular")
-    return f
+    return z
 
 
 def _shift(exp: tuple, i: int, by: int = 1) -> tuple:
@@ -396,21 +399,11 @@ def _annihilates(rows, vectors, p: int | None) -> bool:
     return True
 
 
-def xi_constraints(f: MultiPoly, fields: Sequence[int | None] = (None,)) -> list[tuple]:
-    """The constraints cutting Xi_Z out of Hom(L^2 V, V), over each field
-    of fields (a prime, or None for Q): for each, (rows, pivots, rank of
-    the multiplier block) from _target_constraints of the bidegree-(d, 1)
-    match (membership_matrix with _xi_target), whose integer matrix is
-    built once.  A tensor, in coordinate_triples order, lies in Xi_Z
-    exactly when every row annihilates it."""
-    matrix, lead = membership_matrix(f, (f.total_degree(), 1), _xi_target(f))
-    return [_target_constraints(matrix, lead, p) for p in fields]
-
-
 def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     """Xi_Z of a smooth Z = {f = 0} with n >= 3, exactly by ideal membership
     (see the module docstring): the sigma constraints over each field
-    are read off the RREF of one integer match (xi_constraints).
+    are read off the RREF of one integer match, which the Hypersurface
+    builds once and reduces once per field (Hypersurface.xi_constraints).
 
     backend "modp": the kernel over each configured prime.  meta: dims
     per prime; stable, the per-prime dimensions agree; contains_xi_V,
@@ -426,8 +419,8 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     Raises XiError for n < 3 or a Z not proved smooth.
     """
     config = config or XiConfig()
-    f = _smooth_form(z)
-    n = f.nvars
+    z = _smooth_hypersurface(z)
+    n = z.n
     iota_rows = xi_V(n).basis
     meta = {"backend": config.backend, "seed": str(config.seed), "dims": {}, "notes": []}
 
@@ -436,7 +429,8 @@ def xi_Z(z, config: XiConfig | None = None) -> TensorSubspace:
     bases = {}
     contains_all = True
     proves = False
-    for p, (rows, pivots, cb_rank) in zip(fields, xi_constraints(f, fields)):
+    for p in fields:
+        rows, pivots, cb_rank = z.xi_constraints(p)
         bases[p] = _modp.kernel_from_rref(rows, pivots, coordinate_dim(n), p)
         contains = _annihilates(rows, [_reduce(row, p) for row in iota_rows], p)
         if not contains:
@@ -473,7 +467,7 @@ def tangent_lines_nondegenerate(z) -> tuple[bool, int]:
     grad f(u) . v, so d >= 2 gives full rank.  Raises XiError unless Z is
     proved smooth.
     """
-    f = _smooth_form(z)
+    f = _smooth_hypersurface(z).f
     target = [{(_unit(f.nvars, i), j): 1, (_unit(f.nvars, j), i): -1}
               for (i, j) in pair_list(f.nvars)]
     rank = _member_codimension(f, (1, 1), target)
@@ -490,7 +484,7 @@ def span_check(z) -> tuple[bool, int]:
     in v), so d >= 2 gives full rank.  Raises XiError unless Z is proved
     smooth.
     """
-    f = _smooth_form(z)
+    f = _smooth_hypersurface(z).f
     n = f.nvars
     rank = _member_codimension(f, (1, 0), [{(_unit(n, i), None): 1} for i in range(n)])
     return rank == n, rank

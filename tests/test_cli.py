@@ -86,6 +86,29 @@ def test_certify_twisted_model_witness_is_pinned(capsys):
         "stage": "characteristic_check", "point": ["-1", "-1/3", "8/7"], "residual": 1.0}
 
 
+def test_certify_builds_and_reduces_the_xi_Z_match_once(monkeypatch, capsys):
+    # one coefficient match per hypersurface, reduced once, over Q: the
+    # xi_Z_dims check and the characteristic check read the same reduction
+    built, fields = [], []
+    real_match, real_reduce = cli.xi.membership_matrix, cli.xi._target_constraints
+
+    def match(f, bidegree, target):
+        built.append(bidegree)
+        return real_match(f, bidegree, target)
+
+    def reduce(matrix, lead, p):
+        fields.append(p)
+        return real_reduce(matrix, lead, p)
+
+    monkeypatch.setattr(cli.xi, "membership_matrix", match)
+    monkeypatch.setattr(cli.xi, "_target_constraints", reduce)
+    code, report = run_json(capsys, "certify", "--model", "twisted", "--seed", "5")
+    assert code == EXIT_REJECTED
+    assert built == [(4, 1)] and fields == [None]
+    dims = {c["name"]: c for c in report["checks"]}["xi_Z_dims"]["details"]
+    assert dims == {"dim": 3, "equal_dims": True}
+
+
 def test_certify_constant_twist_is_flat(capsys):
     # a constant invertible matrix is just a linear change of frame
     code, report = run_json(capsys, "certify", "--model", "twisted",
@@ -126,10 +149,18 @@ def test_xi_command_samples_no_cone_point_mod_p(monkeypatch, capsys, backend):
     ["model", "flat", "--samples", "5"],
     ["selftest", "--backend", "rational"],
     ["verify-identities", "--seed", "1", "--prime", "7"],
-], ids=["xi-samples", "model-samples", "selftest-backend", "identities-prime"])
+    ["certify", "--model", "flat", "--seed", "1", "--backend", "modp"],
+    ["certify", "--model", "flat", "--seed", "1", "--prime", "7"],
+    ["selftest", "--seed", "1"],
+    ["selftest", "--variety", "cubic.variety.json"],
+    ["model", "flat", "--seed", "1"],
+], ids=["xi-samples", "model-samples", "selftest-backend", "identities-prime",
+        "certify-backend", "certify-prime", "selftest-seed", "selftest-variety",
+        "model-seed"])
 def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
     # --samples is read only by certify and verify-identities, --backend
-    # and --prime only by xi and certify
+    # and --prime only by xi, --seed by every command but selftest and
+    # model, and --variety by every command but selftest
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_CONFIG
@@ -210,7 +241,7 @@ def test_verify_identities_single_case(capsys):
     code, report = run_json(capsys, "verify-identities",
                             "--seed", "7", "--cases", "1")
     assert code == EXIT_OK
-    assert report["config_echo"]["samples"] == 1
+    assert report["config_echo"]["cases"] == 1 and "samples" not in report["config_echo"]
     (case,) = report["checks"]
     assert case["passed"]
     assert case["details"]["double_bracket"]
@@ -218,7 +249,7 @@ def test_verify_identities_single_case(capsys):
 
 
 def test_selftest_passes(capsys):
-    code, report = run_json(capsys, "selftest", "--seed", "1")
+    code, report = run_json(capsys, "selftest")
     assert code == EXIT_OK
     assert all(c["passed"] for c in report["checks"])
 
@@ -231,7 +262,7 @@ def test_double_bracket_reports_draw_no_cone_point(monkeypatch, capsys):
     code, report = run_json(capsys, "verify-identities", "--seed", "7", "--cases", "1")
     assert code == EXIT_OK
     assert "pole_drops" not in report["checks"][0]["details"]
-    code, report = run_json(capsys, "selftest", "--seed", "1")
+    code, report = run_json(capsys, "selftest")
     assert code == EXIT_OK
     (check,) = [c for c in report["checks"] if c["name"] == "double_bracket_exact"]
     assert check["passed"] and check["details"] == {}
@@ -348,10 +379,21 @@ def test_xi_rational_backend_is_exact(capsys):
     assert xiz["method"] == "ideal_membership" and xiz["proves_xi_V"]
 
 
-def test_certify_twisted_model_rational_backend_is_rejected(capsys):
+def test_certify_twisted_model_rational_backend_is_rejected(monkeypatch, capsys):
+    # certify's xi_Z is always the rational one, the reduction over Q that
+    # the characteristic check reads
+    backends = []
+    real = cli.xi.xi_Z
+
+    def recording(z, config=None):
+        backends.append(config.backend)
+        return real(z, config)
+
+    monkeypatch.setattr(cli.xi, "xi_Z", recording)
     code, report = run_json(capsys, "certify", "--model", "twisted",
-                            "--backend", "rational", "--seed", "5", "--samples", "10")
-    assert code == EXIT_REJECTED
+                            "--seed", "5", "--samples", "10")
+    assert code == EXIT_REJECTED and backends == ["rational"]
+    assert "backend" not in report["config_echo"]
     dims = {c["name"]: c for c in report["checks"]}["xi_Z_dims"]["details"]
     assert dims == {"dim": 3, "equal_dims": True}
     assert certify_details(report)["stage"] == "characteristic_check"
@@ -365,7 +407,7 @@ def test_scale_vanishing_at_base_is_config_error(capsys):
 
 def test_bad_term_bound_env(monkeypatch, capsys):
     monkeypatch.setenv("CCC_MAX_TERMS", "banana")
-    code = main(["selftest", "--seed", "1"])
+    code = main(["selftest"])
     assert code == EXIT_CONFIG
 
 
@@ -373,7 +415,7 @@ def test_bad_term_bound_env(monkeypatch, capsys):
 def test_nonpositive_term_bound_env_is_config_error(monkeypatch, capsys, raw):
     saved = term_bound()
     monkeypatch.setenv("CCC_MAX_TERMS", raw)
-    code = main(["selftest", "--seed", "1"])
+    code = main(["selftest"])
     assert code == EXIT_CONFIG
     assert term_bound() == saved
     assert "CCC_MAX_TERMS" in capsys.readouterr().err

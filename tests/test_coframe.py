@@ -620,6 +620,5 @@ def test_sample_points_deterministic_and_pole_free():
 def test_sample_points_failure_reported():
     # a polynomial that vanishes on every candidate: zero polynomial
     from coneflat.funcfield import MultiPoly
-    with pytest.raises(SamplingError):
-        sample_points(CHART, 3, seed=0, avoid=[MultiPoly.zero(3)],
-                      max_tries_factor=2)
+    with pytest.raises(SamplingError, match="only 0 of 3 sample points found after 240 tries"):
+        sample_points(CHART, 3, seed=0, avoid=[MultiPoly.zero(3)])

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coneflat import cone, xi
-from coneflat.coframe import Chart, Coframe, VectorField, random_polynomial_coframe, \
-    tangent_dual_frame
+from coneflat.coframe import Chart, Coframe, StructureFunction, VectorField, \
+    random_polynomial_coframe, tangent_dual_frame
 from coneflat.funcfield import MultiPoly, RatFunc, parse_poly, parse_ratfunc
 from test_coframe import double_bracket_fields, double_bracket_oracle
 
@@ -395,33 +395,48 @@ def test_double_bracket_fields_are_the_projected_full_brackets():
 
 def test_characteristic_check_flat_passes(fermat_xiz):
     cs = cone.adapted_cone(flat_coframe(), fermat())
-    report = cone.characteristic_check(cs, fermat_xiz, samples=10, seed=2)
+    report = cone.characteristic_check(cs, fermat_xiz, seed=2)
     assert report.verdict
-    assert report.samples == 10
-    assert report.witness is None
+    assert report.witness is None and report.witness_residual is None
 
 
 def test_characteristic_check_rescaled_passes(fermat_xiz):
     cs = cone.adapted_cone(rescaled_coframe(), fermat())
-    assert cone.characteristic_check(cs, fermat_xiz, samples=10, seed=2).verdict
+    assert cone.characteristic_check(cs, fermat_xiz, seed=2).verdict
 
 
 def test_characteristic_check_scalar_rescale_passes(fermat_xiz):
     s = "1 + x2"
     cf = mk_coframe([[s, "0", "0"], ["0", s, "0"], ["0", "0", s]])
     cs = cone.adapted_cone(cf, fermat())
-    assert cone.characteristic_check(cs, fermat_xiz, samples=10, seed=2).verdict
+    assert cone.characteristic_check(cs, fermat_xiz, seed=2).verdict
 
 
 def test_characteristic_check_twisted_fails_with_witness(fermat_xiz):
     cs = cone.adapted_cone(twisted_coframe(), fermat())
-    report = cone.characteristic_check(cs, fermat_xiz, samples=10, seed=2)
+    report = cone.characteristic_check(cs, fermat_xiz, seed=2)
     assert not report.verdict
     assert report.witness is not None
     # the twisted tensor sits in a coordinate orthogonal to the whole
     # contraction image, so its distance to it is exactly 1
     assert report.witness_residual == pytest.approx(1.0, abs=1e-12)
-    assert len(report.failures) == report.samples
+
+
+def test_twisted_characteristic_check_evaluates_c_at_one_point(fermat_xiz, monkeypatch):
+    # the scan stops at the first point where the tensor leaves Xi_Z; the
+    # twisted structure function is constant and outside Xi_Z, so that is
+    # the first scanned point
+    evaluated = []
+    real = StructureFunction.evaluate_at
+
+    def counting(self, point):
+        evaluated.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(StructureFunction, "evaluate_at", counting)
+    report = cone.characteristic_check(cone.adapted_cone(twisted_coframe(), fermat()),
+                                       fermat_xiz, seed=2)
+    assert not report.verdict and evaluated == [report.witness]
 
 
 def test_characteristic_check_passes_without_drawing_a_point(fermat_xiz, monkeypatch):
@@ -431,8 +446,8 @@ def test_characteristic_check_passes_without_drawing_a_point(fermat_xiz, monkeyp
     monkeypatch.setattr(cone, "sample_points", refuse)
     for cf in (flat_coframe(), rescaled_coframe()):
         report = cone.characteristic_check(cone.adapted_cone(cf, fermat()), fermat_xiz,
-                                           samples=10, seed=2)
-        assert report.verdict and report.witness is None and not report.failures
+                                           seed=2)
+        assert report.verdict and report.witness is None
 
 
 def _sampled_failures(cs, space, samples, seed):
@@ -471,15 +486,16 @@ def test_characteristic_check_agrees_with_the_sampled_oracle(certify_workload, s
         _, kind, cf, _ = workload.make_case(index)
         cs = cone.adapted_cone(cf, workload.z)
         case_seed = f"{seed}:{index}"
-        report = cone.characteristic_check(cs, workload.space, samples=25, seed=case_seed)
-        failures = _sampled_failures(cs, workload.space, 25, case_seed)
+        report = cone.characteristic_check(cs, workload.space, seed=case_seed)
+        failures = _sampled_failures(cs, workload.space, cone.WITNESS_SAMPLES, case_seed)
         assert report.verdict == (not failures), (index, kind)
-        assert [x for x, _ in report.failures] == failures, (index, kind)
-        # each residual is the exact distance to Xi_V by normal equations
-        struct = cs.structure()
-        assert [r for _, r in report.failures] == [
-            math.sqrt(float(xi.membership(struct.evaluate_at(x), xi.xi_V(cs.n)).residual))
-            for x in failures], (index, kind)
+        # the witness is the oracle's first failure, and its residual the
+        # exact distance to Xi_V by normal equations
+        assert report.witness == (failures[0] if failures else None), (index, kind)
+        if failures:
+            tensor = cs.structure().evaluate_at(failures[0])
+            assert report.witness_residual == math.sqrt(float(
+                xi.membership(tensor, xi.xi_V(cs.n)).residual)), (index, kind)
         verdicts.append((kind, report.verdict))
     assert {(kind, ok) for kind, ok in verdicts} == {
         ("round_trip", True), ("grid_round_trip", True), ("twisted", False)}

@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from coneflat import xi
+from coneflat import cone, xi
 from coneflat._antideriv import GridPotential, LogCombination
 from coneflat.coframe import Chart, Coframe, random_polynomial_coframe
 from coneflat.cone import Hypersurface, adapted_cone
 from coneflat.flatten import (
+    VALIDATION_TOL,
     CertifyConfig,
     ClosednessVerdict,
     ConformalFactor,
@@ -204,7 +205,7 @@ def test_conformal_factor_rejects_a_two_path_discrepancy(monkeypatch, fermat, fe
     cf = atan_coframe("x1")
     h = integrate_h(cf, conformal_closedness_test(cf))
     with pytest.raises(InternalIdentityError, match="two-path discrepancy"):
-        conformal_factor(cf, h, validation_samples=10, seed=4, tol=1e-9)
+        conformal_factor(cf, h, validation_samples=10, seed=4)
     cert = certify(adapted_cone(cf, fermat), fermat_xiz, CertifyConfig(seed=4))
     assert cert.status == "error" and cert.stage == "conformal_factor"
     assert any("two-path discrepancy" in note for note in cert.notes)
@@ -220,7 +221,7 @@ def test_certify_reports_the_evaluated_quadrature_paths(fermat, fermat_xiz):
     grid = cert.h.grid
     assert len(grid.path_residuals) == cert.config.validation_samples == 25
     assert cert.residuals["quadrature_paths"] == grid.max_path_residual()
-    assert 0 < grid.max_path_residual() < cert.config.validation_tol
+    assert 0 < grid.max_path_residual() < VALIDATION_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_certify_flat(fermat, fermat_xiz):
     assert cert.status == "flat"
     assert cert.stage == "flat_coordinates"
     assert bool(cert)
-    assert cert.residuals["membership_max"] == 0.0
+    assert cert.residuals["membership"] == 0.0
     assert cert.residuals["closedness"] == 0.0
     assert cert.residuals["d_f_omega"] == 0.0
     payload = cert.to_json()
@@ -309,16 +310,31 @@ def test_certify_twisted_rejected(fermat, fermat_xiz):
     assert cert.h is None and cert.factor is None
 
 
-def test_certify_rejects_by_the_identity_when_no_scanned_point_escapes(fermat, fermat_xiz):
+def test_certify_rejects_by_the_identity_when_no_scanned_point_escapes(
+        fermat, fermat_xiz, monkeypatch):
     # the twist x1^2 leaves xi_Z wherever x1 != 0; the one scanned point,
     # (0, 2, 5/6), has x1 = 0, so the rejection names no witness point
+    monkeypatch.setattr(cone, "WITNESS_SAMPLES", 1)
     cs = adapted_cone(coframe([["1", "0", "0"], ["0", "1", "x1^2"], ["0", "0", "1"]]),
                       fermat)
-    cert = certify(cs, fermat_xiz, CertifyConfig(seed=1, membership_samples=1))
+    cert = certify(cs, fermat_xiz, CertifyConfig(seed=1))
     assert cert.status == "rejected" and cert.stage == "characteristic_check"
-    assert cert.characteristic.samples == 1 and not cert.characteristic.failures
+    assert cert.characteristic.witness is None
+    assert cert.residuals["membership"] is None
     assert cert.witness == {"stage": "characteristic_check", "point": None,
                             "residual": None}
+
+
+def test_closedness_rejects_by_the_identity_when_no_scanned_point_escapes(monkeypatch):
+    # c - iota(trace c) is nonzero only where x1 != 0, and every scanned
+    # point has x1 = 0: the identity has proved the rejection, which stands
+    # with no witness point instead of an internal error
+    points = [(Fraction(0), Fraction(k), Fraction(1, k)) for k in range(1, 26)]
+    monkeypatch.setattr(cone, "sample_points", lambda chart, count, seed, avoid=(): points)
+    v = conformal_closedness_test(coframe([["1", "0", "0"], ["0", "1", "x1^2"],
+                                           ["0", "0", "1"]]))
+    assert v.status == "not_conformally_closed" and not v
+    assert v.witness is None and v.residual is None
 
 
 def test_certify_heisenberg_rejected_at_closedness(fermat, fermat_xiz):

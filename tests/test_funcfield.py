@@ -216,6 +216,16 @@ def test_evaluate_float():
     assert h.evaluate([0.5, 1.0, 0.0]) == pytest.approx(1.25)
 
 
+def test_evaluate_rejects_a_complex_point():
+    # only ints, Fractions and floats are points; a complex coordinate used
+    # to pass through the float branch and give (-1+0j) and (0.5+0.5j)
+    with pytest.raises(FuncFieldError, match="ints, Fractions or floats"):
+        parse_poly("x1^2 + x2", VARS3).evaluate((1j, 0.0, 0.0))
+    with pytest.raises(FuncFieldError, match="ints, Fractions or floats"):
+        rf("1/(1 - x1)").evaluate((1j, 0.0, 0.0))
+    assert rf("1/(1 - x1)").evaluate((0.5, 0, Fraction(1, 3))) == pytest.approx(2.0)
+
+
 def test_evaluate_at_pole_raises():
     h = rf("1/(1 - x1)")
     with pytest.raises(PoleError):
