@@ -3,7 +3,8 @@
 ``row_reduce`` is the one Gauss-Jordan elimination of the package: it
 reduces over GF(p) when given a prime, and otherwise with the entries'
 own field operations, which covers ``Fraction`` and ``RatFunc``
-matrices; ``rank`` and ``determinant`` run only its forward pass.  GF(p)
+matrices; ``rank`` and ``determinant_pivots`` (whose product is
+``determinant``) run only its forward pass.  GF(p)
 echelon forms enter through ``rref_mod``, and kernels through
 ``kernel_mod``.  Each pivot step touches only the columns from the
 pivot column on: left of it the pivot row is already zero.  Prime-field
@@ -31,6 +32,8 @@ Internal module: the public API re-exports what callers need.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from typing import Sequence
 
@@ -141,18 +144,24 @@ def row_reduce(rows: Sequence[Sequence], p: int | None = None) -> tuple[list[lis
     return mat[:len(pivots)], pivots
 
 
-def determinant(rows: Sequence[Sequence]):
-    """Determinant of a square matrix over its entries' field, by one
-    forward elimination pass: plus or minus the product of the pivots,
-    or the field's zero when a column has no pivot."""
+def determinant_pivots(rows: Sequence[Sequence]) -> list:
+    """The pivots of one forward elimination pass of a square matrix
+    over its entries' field, the first negated for an odd number of row
+    swaps, so that their product is the determinant; [zero] when a
+    column has no pivot."""
     mat = [list(row) for row in rows]
     pivots, leads, swaps = _eliminate(mat, None, below_only=True)
     if len(pivots) < len(mat):
-        return mat[0][0] * 0
-    det = leads[0]
-    for lead in leads[1:]:
-        det = det * lead
-    return -det if swaps % 2 else det
+        return [mat[0][0] * 0]
+    if swaps % 2:
+        leads[0] = -leads[0]
+    return leads
+
+
+def determinant(rows: Sequence[Sequence]):
+    """Determinant of a square matrix over its entries' field: the
+    product of determinant_pivots."""
+    return functools.reduce(operator.mul, determinant_pivots(rows))
 
 
 def rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:

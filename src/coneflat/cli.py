@@ -334,8 +334,10 @@ def cmd_verify_identities(args) -> RunReport:
     return report
 
 
-# the verify-identities keys that rest on the A B = I proof; all read
-# false when it fails, as no later check can run without it
+# the verify-identities keys that rest on the A B = I proof, the first
+# being that proof: every check of the induced pair reads B, while the
+# structure function comes from A's minors and det A; all read false
+# when the proof fails, as no later check can run without it
 _PAIRING_KEYS = ("structure_ab_is_identity", "theta_of_dtheta_is_identity",
                  "theta_of_dlambda_is_zero", "lambda_of_dtheta_is_zero",
                  "lambda_of_dlambda_is_identity", "dtheta_mu_is_zero",
@@ -351,8 +353,8 @@ def _identity_case(cf: Coframe, z: Hypersurface, case: int) -> dict[str, bool]:
     probe = cf.a[0][(case + 1) % 3]
     ok["d_lemma"] = check_d_lemma(cf, probe * probe)
     try:
-        structure_function(cf, verify=True)
-        ok["structure_ab_is_identity"] = True
+        ok["structure_ab_is_identity"] = cf.pairing
+        structure_function(cf)
         ic = induced_coframe(cf)
         ok.update(check_dual_relations(ic))
         ok.update(check_geodesic_identities(ic))
@@ -404,9 +406,7 @@ def cmd_selftest(args) -> RunReport:
         bundle = build_model(name, z, argparse.Namespace(
             scale="1/(1 - x1)", twist="x1"))
         cf = coframe_from_json(bundle["coframe"])
-        cert = flatten.certify(adapted_cone(cf, z), space,
-                               flatten.CertifyConfig(seed=1,
-                                                     validation_samples=30))
+        cert = flatten.certify(adapted_cone(cf, z), space, flatten.CertifyConfig(seed=1))
         report.add(f"certify_{name}", cert.status == want,
                    status=cert.status, expected=want)
         if cert.status == "error":
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the flattening pipeline")
     common(p)
-    p.add_argument("--samples", type=int, default=50,
+    p.add_argument("--samples", type=int, default=flatten.VALIDATION_SAMPLES,
                    help="validation samples of the conformal factor")
     p.add_argument("--coframe", help="coframe JSON file")
     p.add_argument("--model", choices=sorted(MODELS),

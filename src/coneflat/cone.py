@@ -407,13 +407,14 @@ def double_bracket_check(cs: ConeStructure, samples: int = 50, seed=0) -> Bracke
     4. With y = B mu, omega(d pi [[(D_lambda)_a, gamma], gamma])^k
        = -((E - Y) B)_{ka} = d omega^k(y, e_a)
        = -sum_b c^k_{ab} mu^b.
-    So the verdict is ic.bracket_identity, with c proved by A B = I
-    (cs.structure(), which raises SingularCoframeError when it fails).
-    No frame, bracket or cone point is formed.  samples and seed are
-    accepted and ignored: the perfbench identities workload still passes
-    them, and they go when it stops.
+    So the verdict is ic.bracket_identity, which rests on the A B = I
+    proof (ic.pairing, raising SingularCoframeError when it fails) since
+    steps 1 and 2 read B.  c itself is not formed: the identity holds for
+    the c of the definition, which coframe.structure_function computes
+    from A's minors and det A.  No frame, bracket or cone point is
+    formed.  samples and seed are accepted and ignored: the perfbench
+    identities workload still passes them, and they go when it stops.
     """
-    cs.structure()      # c, proved by A B = I, or raises
     return BracketReport(verdict=cs.induced.bracket_identity)
 
 

@@ -35,6 +35,8 @@ from coneflat.funcfield import PoleError, RatFunc
 
 # bound on the float residuals of a quadrature conformal factor
 VALIDATION_TOL = 1e-9
+# float points at which a quadrature conformal factor is validated
+VALIDATION_SAMPLES = 50
 
 
 class FlattenError(ValueError):
@@ -74,7 +76,7 @@ class ClosednessVerdict:
 def conformal_closedness_test(cf: Coframe, seed=0) -> ClosednessVerdict:
     """Decide whether some rescaling f*omega is closed, exactly.
 
-    The candidate covector xi is read off the verified structure function
+    The candidate covector xi is read off the exact structure function
     c by the trace formula, and the verdict is the rational-function
     identity c = iota(xi) in the frame basis.  As omega is a coframe,
     that is d omega^k = s wedge omega^k with s = xi sharp omega, and no
@@ -178,7 +180,8 @@ class ConformalFactor:
         return math.exp(-self.h.evaluate(point))
 
 
-def conformal_factor(cf: Coframe, h: HPotential, validation_samples: int = 20,
+def conformal_factor(cf: Coframe, h: HPotential,
+                     validation_samples: int = VALIDATION_SAMPLES,
                      seed=0) -> ConformalFactor:
     """The factor making f*omega closed.
 
@@ -314,14 +317,16 @@ class CertifyConfig:
     """Settings of certify: seed seeds every draw; validation_samples
     sizes the float checks of a quadrature conformal_factor, and as each
     sample evaluates h's quadrature on two paths, it sets most of a
-    quadrature certificate's cost.  No stage reads tol_membership: the
-    characteristic check is exact.  It stays, at its default, while the
-    perfbench certify workload passes it, and in echo.  The sizes and
-    tolerances that no caller sets are module constants:
-    cone.WITNESS_SAMPLES, VALIDATION_TOL and _antideriv.QUAD_TOL."""
+    quadrature certificate's cost.  Its default, VALIDATION_SAMPLES, is
+    also that of conformal_factor and of coneflat certify --samples.  No
+    stage reads tol_membership: the characteristic check is exact.  It
+    stays, at its default, while the perfbench certify workload passes
+    it, and in echo.  The sizes and tolerances that no caller sets are
+    module constants: cone.WITNESS_SAMPLES, VALIDATION_TOL and
+    _antideriv.QUAD_TOL."""
 
     seed: object = 0
-    validation_samples: int = 25
+    validation_samples: int = VALIDATION_SAMPLES
     tol_membership: float = 1e-8
 
     def echo(self) -> dict:

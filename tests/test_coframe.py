@@ -13,6 +13,7 @@ from coneflat.coframe import (
     Coframe,
     SamplingError,
     SingularCoframeError,
+    StructureFunction,
     check_d_lemma,
     check_dual_relations,
     check_geodesic_identities,
@@ -72,7 +73,8 @@ def twisted_coframe():
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles for what the package proves from A B = I
+# brute-force oracles for what the package proves from A B = I or from
+# A's minors
 # ---------------------------------------------------------------------------
 
 def reconstruction_oracle(cf, sf) -> bool:
@@ -92,6 +94,23 @@ def reconstruction_oracle(cf, sf) -> bool:
                 if acc != w.get(k, i, j):
                     return False
     return True
+
+
+def contraction_oracle(cf):
+    """c^k = B^T W^k B for W = d omega and B = cf.dual, the contraction of
+    d omega with the dual frame that structure_function replaces by A's
+    complementary minors; it reads whatever frame cf.dual holds."""
+    n = cf.n
+    b = cf.dual.matrix
+    comps = {}
+    for (k, i, j), wk in exterior_derivative(cf).components.items():
+        for a in range(n):
+            for bb in range(a + 1, n):
+                wedge = b[i][a] * b[j][bb] - b[i][bb] * b[j][a]
+                if not wedge.is_zero():
+                    key = (k, a, bb)
+                    comps[key] = comps[key] + wk * wedge if key in comps else wk * wedge
+    return StructureFunction(n, comps, RatFunc.const(n, 0))
 
 
 def frame_bracket_oracle(cf) -> bool:
@@ -137,13 +156,13 @@ def double_bracket_oracle(cs, frames) -> bool:
     """omega(d pi([[(D_lambda)_a, gamma], gamma]))^k + sum_b c^k_{ab} mu^b
     = 0 as rational functions, for every a and k, by brute force: the
     bracket identity by bracket_identity_oracle, then the double
-    brackets' dx-components on the frames; c is the unproved
-    contraction, so a wrong dual frame shows here too."""
+    brackets' dx-components on the frames; c is contraction_oracle's,
+    so a wrong dual frame shows here too."""
     ic = cs.induced
     if not bracket_identity_oracle(ic, frames):
         return False
     n = cs.n
-    struct = structure_function(cs.coframe, verify=False)
+    struct = contraction_oracle(cs.coframe)
     for a, comp in enumerate(double_bracket_fields(ic, frames)):
         for k in range(n):
             acc = sum((ic.matrix[k][j] * comp[j] for j in range(n) if not comp[j].is_zero()),
@@ -321,6 +340,34 @@ def test_structure_function_random_reconstruction():
     for _ in range(4):
         cf = random_polynomial_coframe(CHART, rng, unimodular=False)
         assert reconstruction_oracle(cf, structure_function(cf, verify=True))
+
+
+def assert_equals_the_contraction(cf):
+    """structure_function's c is contraction_oracle's, component by
+    component, with the same factored denominators (as sets of
+    (factor, exponent) pairs: their order follows the merge order)."""
+    sf, oracle = structure_function(cf), contraction_oracle(cf)
+    assert sf.components == oracle.components
+    for key, value in oracle.components.items():
+        assert set(sf.components[key].den_factors()) == set(value.den_factors()), key
+
+
+def test_structure_function_equals_the_contraction_oracle():
+    rng = random.Random(2718)
+    for cf in (flat_coframe(), heisenberg_coframe(), rescaled_coframe(), twisted_coframe(),
+               *(random_polynomial_coframe(CHART, rng, unimodular=trial % 2 == 0)
+                 for trial in range(10))):
+        assert_equals_the_contraction(cf)
+    # a certify round trip: omega = (1/(l l')) M dx for a constant invertible M
+    inv = 1 / (rfc("1 + (x1 - x2)/4") * rfc("1 + (x2 + x3)/4"))
+    m = [[1, 2, 0], [0, -1, 3], [2, 0, 1]]
+    assert_equals_the_contraction(Coframe(CHART, [[inv * v for v in row] for row in m]))
+
+
+@pytest.mark.parametrize("unimodular", (True, False))
+def test_structure_function_equals_the_contraction_oracle_n4(unimodular):
+    assert_equals_the_contraction(random_polynomial_coframe(
+        Chart.standard(4), random.Random("n4seed"), unimodular=unimodular))
 
 
 def test_dd_is_zero_on_random_coframes():
@@ -521,12 +568,16 @@ def test_corrupted_lambda_row_fails_the_mu_relations_and_the_double_bracket():
 def test_corrupted_dual_frame_fails_the_pairing_proof():
     cf = rescaled_coframe()
     cf.dual = dual_frame(flat_coframe())
-    for proof in (lambda: structure_function(cf), lambda: cf.induced.pairing,
+    for proof in (lambda: cf.pairing, lambda: cf.induced.pairing,
                   lambda: tangent_dual_frame(cf.induced)):
         with pytest.raises(SingularCoframeError):
             proof()
-    # the oracles see the wrong frame too
-    assert not reconstruction_oracle(cf, structure_function(cf, verify=False))
+    # c comes from A's minors, so the wrong frame does not reach it
+    sf = structure_function(cf)
+    assert sf.components == structure_function(rescaled_coframe()).components
+    assert reconstruction_oracle(cf, sf)
+    # the contraction oracle sees the wrong frame
+    assert not reconstruction_oracle(cf, contraction_oracle(cf))
 
 
 def test_induced_matrix_off_its_block_form_fails_the_pairing_proof():

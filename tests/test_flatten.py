@@ -206,7 +206,8 @@ def test_conformal_factor_rejects_a_two_path_discrepancy(monkeypatch, fermat, fe
     h = integrate_h(cf, conformal_closedness_test(cf))
     with pytest.raises(InternalIdentityError, match="two-path discrepancy"):
         conformal_factor(cf, h, validation_samples=10, seed=4)
-    cert = certify(adapted_cone(cf, fermat), fermat_xiz, CertifyConfig(seed=4))
+    cert = certify(adapted_cone(cf, fermat), fermat_xiz,
+                   CertifyConfig(seed=4, validation_samples=25))
     assert cert.status == "error" and cert.stage == "conformal_factor"
     assert any("two-path discrepancy" in note for note in cert.notes)
 
@@ -215,7 +216,7 @@ def test_certify_reports_the_evaluated_quadrature_paths(fermat, fermat_xiz):
     # h = -atan(x1 + x2) depends on two axes, so the two paths of its
     # quadrature differ; one evaluation per validation sample
     cert = certify(adapted_cone(atan_coframe("x1 + x2"), fermat), fermat_xiz,
-                   CertifyConfig(seed=2))
+                   CertifyConfig(seed=2, validation_samples=25))
     assert cert.status == "conformally_flat"
     assert cert.factor.kind == "numeric" and cert.zeta.mode == "grid"
     grid = cert.h.grid

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import random
 import weakref
 from collections import Counter
 
@@ -78,34 +79,57 @@ def test_coframe_holds_its_induced_coframe_weakly():
 
 def test_derived_objects_are_shared_while_held():
     cf = heisenberg_coframe()
+    sf = structure_function(cf)
+    assert structure_function(cf) is sf
+    assert cf.structure is sf
+    # c comes from A's minors: neither the dual frame nor A B = I is formed
+    assert "dual" not in vars(cf) and "pairing" not in vars(cf)
     ic = induced_coframe(cf)
     assert induced_coframe(cf) is ic
     assert cf.induced is ic
     assert dual_frame(cf) is dual_frame(cf) is cf.dual
-    sf = structure_function(cf)
-    assert structure_function(cf) is sf
-    assert cf.structure is sf
-    assert vars(cf)["pairing"] and ic.pairing is cf.pairing
+    assert ic.pairing is cf.pairing and vars(cf)["pairing"]
     assert ic.gamma is ic.gamma
 
 
 def test_inconsistent_coframe_raises_on_every_call():
     cf = heisenberg_coframe()
-    # a wrong dual frame fails the A B = I proof that everything rests on
+    # a wrong dual frame fails the A B = I proof that everything reading B
+    # rests on; the structure function reads no B and stays the true c
     cf.dual = dual_frame(Coframe.identity(CHART).scale(RatFunc.const(3, 2)))
     for _ in range(2):
+        assert structure_function(cf).components == \
+            structure_function(heisenberg_coframe()).components
+        assert cf.structure is structure_function(cf)
         with pytest.raises(SingularCoframeError):
-            structure_function(cf)
-        with pytest.raises(SingularCoframeError):
-            cf.structure
+            cf.pairing
         with pytest.raises(SingularCoframeError):
             cf.induced.pairing
 
 
 def test_explicit_dual_is_not_stored():
+    # verify is ignored: every value is exact by construction and stored,
+    # and none forms or stores the dual frame
     cf = heisenberg_coframe()
-    unverified = structure_function(cf, verify=False)
-    assert structure_function(cf) is not unverified
+    sf = structure_function(cf, verify=False)
+    assert structure_function(cf) is sf is cf.structure
+    assert "dual" not in vars(cf)
+
+
+def test_structure_function_leaves_no_reference_cycle():
+    # the table of minors holds no self-referring closure: a discarded
+    # coframe's structure function is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (3, 4):
+            cf = coframe.random_polynomial_coframe(
+                Chart.standard(n), random.Random(f"cycle{n}"), unimodular=n == 3)
+            assert not structure_function(cf).is_zero()
+            del cf
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_constant_polynomials_are_shared():
